@@ -13,10 +13,9 @@ import argparse
 import configparser
 import csv
 import hashlib
-import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from mrpkit.design import ModelSpec, build_layout
 from mrpkit.diagnostics import diagnostics_table
 from mrpkit.model import LogDensityModel, PriorConfig
 from mrpkit.poststrat import calibrate_to_totals, poststratify, predict_cells
-from mrpkit.samplers import load_draws, sample_mcmc, save_draws
+from mrpkit.samplers import load_draws, sample_mcmc, save_draws, write_json
 from mrpkit.synthetic import Scenario, redblue_scenario, write_scenario_files
 
 EXIT_OK = 0
@@ -62,49 +61,61 @@ class RunConfig:
     def prior(self) -> PriorConfig:
         return PriorConfig(self.prior_mode, self.coef_scale)
 
-    def to_dict(self) -> dict:
-        return {
-            "survey": self.survey, "cells": self.cells, "states": self.states,
-            "rung": self.rung, "use_ethnicity": self.use_ethnicity,
-            "state_predictors": list(self.state_predictors),
-            "prior_mode": self.prior_mode, "coef_scale": self.coef_scale,
-            "chains": self.chains, "warmup": self.warmup, "iters": self.iters,
-            "seed": self.seed, "outdir": self.outdir,
-            "exclude_ak_hi_dc": self.exclude_ak_hi_dc,
-        }
+
+# [section] key -> RunConfig field, for every key fit, poststratify and
+# diagnose read; configparser lowercases keys
+RUN_KEYS = {
+    ("data", "survey"): "survey", ("data", "cells"): "cells",
+    ("data", "states"): "states",
+    ("model", "rung"): "rung", ("model", "use_ethnicity"): "use_ethnicity",
+    ("model", "state_predictors"): "state_predictors",
+    ("prior", "mode"): "prior_mode", ("prior", "coef_scale"): "coef_scale",
+    ("sampler", "chains"): "chains", ("sampler", "warmup"): "warmup",
+    ("sampler", "iters"): "iters", ("sampler", "seed"): "seed",
+    ("output", "dir"): "outdir",
+    ("report", "exclude_ak_hi_dc"): "exclude_ak_hi_dc",
+}
+# the keys simulate reads ("s" is S)
+SCENARIO_KEYS = {("scenario", k) for k in ("kind", "s", "n", "seed", "outdir",
+                                           "rung")}
+
+
+def _read_ini(path) -> configparser.ConfigParser:
+    """Parsed config; DataError naming the file if it is missing, cannot be
+    parsed, or holds a section or key that no command reads."""
+    if not os.path.exists(path):
+        raise DataError(f"config file not found: {path}")
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read(path)
+    except configparser.Error as err:
+        raise DataError(f"{path}: cannot parse config: {err}") from None
+    known = RUN_KEYS.keys() | SCENARIO_KEYS
+    for section in cp.sections():
+        if section not in {sec for sec, _ in known}:
+            raise DataError(f"{path}: unknown config section [{section}]")
+        for key in cp.options(section):
+            if (section, key) not in known:
+                raise DataError(f"{path}: unknown key {key!r} in "
+                                f"[{section}]")
+    return cp
 
 
 def read_config(path) -> RunConfig:
-    if not os.path.exists(path):
-        raise DataError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
-    cp.read(path)
+    cp = _read_ini(path)
     cfg = RunConfig()
-    if cp.has_section("data"):
-        cfg.survey = cp.get("data", "survey", fallback=cfg.survey)
-        cfg.cells = cp.get("data", "cells", fallback=cfg.cells)
-        cfg.states = cp.get("data", "states", fallback=cfg.states)
-    if cp.has_section("model"):
-        cfg.rung = cp.get("model", "rung", fallback=cfg.rung)
-        cfg.use_ethnicity = cp.getboolean("model", "use_ethnicity",
-                                          fallback=cfg.use_ethnicity)
-        preds = cp.get("model", "state_predictors", fallback=None)
-        if preds:
-            cfg.state_predictors = tuple(p.strip() for p in preds.split(","))
-    if cp.has_section("prior"):
-        cfg.prior_mode = cp.get("prior", "mode", fallback=cfg.prior_mode)
-        cfg.coef_scale = cp.getfloat("prior", "coef_scale",
-                                     fallback=cfg.coef_scale)
-    if cp.has_section("sampler"):
-        cfg.chains = cp.getint("sampler", "chains", fallback=cfg.chains)
-        cfg.warmup = cp.getint("sampler", "warmup", fallback=cfg.warmup)
-        cfg.iters = cp.getint("sampler", "iters", fallback=cfg.iters)
-        cfg.seed = cp.getint("sampler", "seed", fallback=cfg.seed)
-    if cp.has_section("output"):
-        cfg.outdir = cp.get("output", "dir", fallback=cfg.outdir)
-    if cp.has_section("report"):
-        cfg.exclude_ak_hi_dc = cp.getboolean("report", "exclude_ak_hi_dc",
-                                             fallback=cfg.exclude_ak_hi_dc)
+    for (section, key), name in RUN_KEYS.items():
+        if not cp.has_option(section, key):
+            continue
+        value, default = cp.get(section, key), getattr(cfg, name)
+        if isinstance(default, bool):
+            value = cp.getboolean(section, key)
+        elif isinstance(default, tuple):  # comma-separated; empty: default
+            value = tuple(p.strip() for p in value.split(",")) if value \
+                else default
+        else:
+            value = type(default)(value)
+        setattr(cfg, name, value)
     return cfg
 
 
@@ -142,25 +153,17 @@ def cmd_fit(cfg: RunConfig) -> int:
         f.write(diagnostics_table(draws))
     diag = draws.diagnostics or {}
     converged = bool(diag.get("converged", False))
-    with open(os.path.join(cfg.outdir, "diagnostics.json"), "w",
-              encoding="utf-8") as f:
-        json.dump({k: (np.asarray(v).tolist() if isinstance(v, np.ndarray)
-                       else v) for k, v in diag.items()},
-                  f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(cfg.outdir, "diagnostics.json"), diag)
     manifest = {
         "tool": f"mrpkit {__version__}",
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "inputs": {"survey": _sha256(cfg.survey), "cells": _sha256(cfg.cells),
                    "states": _sha256(cfg.states)},
         "converged": converged,
         "n_draws": int(draws.n_draws),
         "n_params": int(draws.n_params),
     }
-    with open(os.path.join(cfg.outdir, "manifest.json"), "w",
-              encoding="utf-8") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(cfg.outdir, "manifest.json"), manifest)
     if not converged:
         print("warning: run stamped non-converged", file=sys.stderr)
         return EXIT_NONCONVERGED
@@ -203,18 +206,18 @@ def cmd_poststratify(cfg: RunConfig, grouping: str, recorded_path=None,
         keycols = [("state_label" if d == "state" else d) for d in dims]
         w.writerow(keycols + ["mean", "sd", "q05", "q25", "q50", "q75", "q95",
                               "weight"])
-        for g, key in enumerate(agg.keys):
-            kvals = []
-            for d, v in zip(dims, key):
-                kvals.append(dataset.states.labels[v - 1] if d == "state"
-                             else v)
+        labels = [[dataset.states.labels[v - 1] if d == "state" else v
+                   for d, v in zip(dims, key)] for key in agg.keys]
+        for g, kvals in enumerate(labels):
             w.writerow(kvals + [repr(float(s[k][g])) for k in
                                 ("mean", "sd", "q05", "q25", "q50", "q75",
                                  "q95")] + [repr(float(agg.weight[g]))])
     if export_draws:
+        # one column per group, headed by its key columns joined with ':'
         dpath = os.path.join(cfg.outdir, f"estimates_{name}_draws.csv")
-        np.savetxt(dpath, agg.theta, delimiter=",",
-                   header=",".join(str(k) for k in agg.keys), comments="")
+        header = [":".join(map(str, kvals)) or "national" for kvals in labels]
+        np.savetxt(dpath, agg.theta, delimiter=",", header=",".join(header),
+                   comments="")
     print(out)
     return EXIT_OK
 
@@ -264,10 +267,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(config_path) -> int:
-    cp = configparser.ConfigParser()
-    if not os.path.exists(config_path):
-        raise DataError(f"config file not found: {config_path}")
-    cp.read(config_path)
+    cp = _read_ini(config_path)
     if not cp.has_section("scenario"):
         raise DataError("simulate config needs a [scenario] section")
     kind = cp.get("scenario", "kind", fallback="redblue")

@@ -9,9 +9,8 @@ downstream code can index without checks.
 from __future__ import annotations
 
 import csv
-import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -200,6 +199,18 @@ def _parse_int(value: str, row_num: int, col: str, lo: int, hi: int, path) -> in
     return v
 
 
+def _parse_float(value: str, row_num: int, col: str, path) -> float:
+    try:
+        v = float(value)
+    except ValueError:
+        raise DataError(f"{path}: row {row_num}, column {col!r}: "
+                        f"cannot parse {value!r} as a number") from None
+    if not np.isfinite(v):
+        raise DataError(f"{path}: row {row_num}, column {col!r}: "
+                        f"non-finite value {value!r}")
+    return v
+
+
 def _state_index(value: str, states: StateTable | None, row_num: int, path) -> int:
     if states is not None:
         if value not in states.labels:
@@ -223,11 +234,9 @@ def load_states(path) -> StateTable:
         if label in labels:
             raise DataError(f"{path}: row {r}: duplicate state {label!r}")
         labels.append(label)
-        try:
-            inc.append(float(row[ci["avg_income"]]))
-            share.append(float(row[ci["prev_rep_share"]]))
-        except ValueError:
-            raise DataError(f"{path}: row {r}: non-numeric predictor value") from None
+        inc.append(_parse_float(row[ci["avg_income"]], r, "avg_income", path))
+        share.append(_parse_float(row[ci["prev_rep_share"]], r,
+                                  "prev_rep_share", path))
         region.append(_parse_int(row[ci["region"]], r, "region", 1, 99, path))
     inc = np.asarray(inc)
     share = np.asarray(share)
@@ -302,13 +311,13 @@ def load_cells(path, spec, states: StateTable | None = None) -> CellTable:
         e = (_parse_int(row[c_eth], r, "ethnicity", 1, N_ETH, path)
              if (spec.use_ethnicity and c_eth is not None) else 0)
         if direct:
-            nv = float(row[c_nv])
+            nv = _parse_float(row[c_nv], r, "n_voters", path)
             if nv < 0:
                 raise DataError(f"{path}: row {r}: negative n_voters")
             na, tr = nv, 1.0
         else:
-            na = float(row[c_na])
-            tr = float(row[c_tr])
+            na = _parse_float(row[c_na], r, "n_adults", path)
+            tr = _parse_float(row[c_tr], r, "turnout_rate", path)
             if na < 0:
                 raise DataError(f"{path}: row {r}: negative n_adults")
             if not 0.0 <= tr <= 1.0:

@@ -9,6 +9,10 @@ Three model rungs:
 
 The flat parameter vector is unconstrained: scale parameters are stored as
 logs and the intercept/slope correlation as its atanh.
+
+``eta_kernel`` is the one computation of a unit's linear predictor (logit)
+and ``eta_adjoint`` its gradient; ``eta_cells``, ``LogDensityModel`` and
+``poststrat.predict_cells`` all call them.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mrpkit.data import N_ETH, N_INCOME, CellTable, StateTable
+from mrpkit.data import N_ETH, N_INCOME, StateTable
 
 RUNGS = ("M1", "M2", "M3")
 DEFAULT_STATE_PREDICTORS = ("avg_income", "prev_rep_share", "region")
@@ -60,37 +64,29 @@ class ParameterLayout:
     blocks: tuple[tuple[str, int], ...]  # (name, length) in order
     n_states: int
     spec: ModelSpec
+    _slices: dict[str, slice] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        slices, off = {}, 0
+        for name, n in self.blocks:
+            slices[name] = slice(off, off + n)
+            off += n
+        object.__setattr__(self, "_slices", slices)
 
     @property
     def n_params(self) -> int:
         return sum(n for _, n in self.blocks)
 
-    @property
-    def offsets(self) -> dict[str, int]:
-        out, off = {}, 0
-        for name, n in self.blocks:
-            out[name] = off
-            off += n
-        return out
-
     def sl(self, name: str) -> slice:
-        off = 0
-        for bname, n in self.blocks:
-            if bname == name:
-                return slice(off, off + n)
-            off += n
-        raise KeyError(name)
+        return self._slices[name]
 
     def has(self, name: str) -> bool:
-        return any(bname == name for bname, _ in self.blocks)
+        return name in self._slices
 
     def block_dict(self) -> dict[str, list[int]]:
         """{name: [offset, length]} for serialization."""
-        out, off = {}, 0
-        for name, n in self.blocks:
-            out[name] = [off, n]
-            off += n
-        return out
+        return {name: [s.start, s.stop - s.start]
+                for name, s in self._slices.items()}
 
 
 def predictor_matrix(states: StateTable, spec: ModelSpec) -> np.ndarray:
@@ -134,37 +130,95 @@ def income_code(income_cat) -> np.ndarray:
     return np.asarray(income_cat, dtype=float) - 3.0
 
 
-def eta_cells(params: np.ndarray, layout: ParameterLayout,
-              state_id, income_cat, ethnicity) -> np.ndarray:
-    """Linear predictor for an array of units (cells or respondents)."""
-    params = np.asarray(params, dtype=float)
-    if params.shape[-1] != layout.n_params:
-        raise ValueError(f"parameter vector length {params.shape[-1]} != "
-                         f"layout length {layout.n_params}")
-    spec = layout.spec
+@dataclass(frozen=True)
+class UnitIndex:
+    """0-based maps from units (cells or respondents) into the parameter
+    blocks; built and range-checked once by ``unit_index``."""
+
+    s0: np.ndarray           # state
+    z: np.ndarray            # centered income code
+    i0: np.ndarray           # income category
+    e0: np.ndarray | None    # ethnicity; None when the model omits it
+
+
+def unit_index(layout: ParameterLayout, state_id, income_cat,
+               ethnicity) -> UnitIndex:
+    """Validated index arrays for ``eta_kernel`` and ``eta_adjoint``."""
     s0 = np.asarray(state_id, dtype=int) - 1
     if np.any((s0 < 0) | (s0 >= layout.n_states)):
         raise ValueError("state index outside declared cross")
     i = np.asarray(income_cat, dtype=int)
     if np.any((i < 1) | (i > N_INCOME)):
         raise ValueError("income category outside declared cross")
-    z = income_code(i)
-
-    beta = params[layout.sl("beta")]
-    alpha = params[layout.sl("alpha")]
-    coef = beta[0]
-    if spec.varying_slope:
-        coef = coef + params[layout.sl("slope")][s0]
-    eta = alpha[s0] + coef * z
-    if spec.use_ethnicity:
+    e0 = None
+    if layout.spec.use_ethnicity:
         e = np.asarray(ethnicity, dtype=int)
         if np.any((e < 1) | (e > N_ETH)):
             raise ValueError("ethnicity category outside declared cross")
-        eth_coef = np.concatenate([[0.0], beta[1:]])  # category 1 is baseline
-        eta = eta + eth_coef[e - 1]
+        e0 = e - 1
+    return UnitIndex(s0, income_code(i), i - 1, e0)
+
+
+def eta_kernel(params: np.ndarray, layout: ParameterLayout,
+               idx: UnitIndex) -> np.ndarray:
+    """eta = alpha[s] + (beta_inc + slope[s]) * z + eth[e] + cat[i] per unit
+    (terms as the rung has them), for params (P,) -> (C,) or draws (D, P) ->
+    (D, C). The terms pass through one scratch array in the same order for
+    either shape, so a batch equals per-draw calls bit for bit."""
+    spec = layout.spec
+    beta = params[..., layout.sl("beta")]
+    eta = np.take(params[..., layout.sl("alpha")], idx.s0, axis=-1,
+                  mode="clip")
+    tmp = np.empty_like(eta)
+    if spec.varying_slope:
+        np.take(params[..., layout.sl("slope")], idx.s0, axis=-1, out=tmp,
+                mode="clip")
+        tmp += beta[..., :1]
+        tmp *= idx.z
+    else:
+        np.multiply(beta[..., :1], idx.z, out=tmp)
+    eta += tmp
+    if spec.use_ethnicity:
+        eth_coef = np.concatenate(  # category 1 is baseline
+            [np.zeros(beta.shape[:-1] + (1,)), beta[..., 1:]], axis=-1)
+        eta += np.take(eth_coef, idx.e0, axis=-1, out=tmp, mode="clip")
     if spec.category_offsets:
-        eta = eta + params[layout.sl("cat")][i - 1]
+        eta += np.take(params[..., layout.sl("cat")], idx.i0, axis=-1,
+                       out=tmp, mode="clip")
     return eta
+
+
+def eta_adjoint(dl_deta: np.ndarray, layout: ParameterLayout, idx: UnitIndex,
+                g: np.ndarray) -> np.ndarray:
+    """Add the gradient of a function of eta_kernel(params) to ``g`` (P,),
+    given its derivative with respect to each unit's eta."""
+    spec = layout.spec
+    S = layout.n_states
+    g[layout.sl("alpha")] += np.bincount(idx.s0, weights=dl_deta, minlength=S)
+    glz = dl_deta * idx.z
+    g_beta = g[layout.sl("beta")]
+    g_beta[0] += glz.sum()
+    if spec.use_ethnicity:
+        by_eth = np.bincount(idx.e0, weights=dl_deta, minlength=N_ETH)
+        g_beta[1:] += by_eth[1:]
+    if spec.varying_slope:
+        g[layout.sl("slope")] += np.bincount(idx.s0, weights=glz, minlength=S)
+    if spec.category_offsets:
+        g[layout.sl("cat")] += np.bincount(idx.i0, weights=dl_deta,
+                                           minlength=N_INCOME)
+    return g
+
+
+def eta_cells(params: np.ndarray, layout: ParameterLayout,
+              state_id, income_cat, ethnicity) -> np.ndarray:
+    """Linear predictor for an array of units (cells or respondents), for
+    one parameter vector (P,) or a matrix of draws (D, P)."""
+    params = np.asarray(params, dtype=float)
+    if params.shape[-1] != layout.n_params:
+        raise ValueError(f"parameter vector length {params.shape[-1]} != "
+                         f"layout length {layout.n_params}")
+    return eta_kernel(params, layout,
+                      unit_index(layout, state_id, income_cat, ethnicity))
 
 
 def linear_predictor(params: np.ndarray, unit, layout: ParameterLayout) -> float:

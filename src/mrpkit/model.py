@@ -17,18 +17,20 @@ and flat on rho in (-1, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from mrpkit.data import N_ETH, N_INCOME, Dataset
+from mrpkit.data import N_INCOME, Dataset
 from mrpkit.design import (
     ModelSpec,
     ParameterLayout,
     build_layout,
-    income_code,
+    eta_adjoint,
+    eta_kernel,
     predictor_matrix,
+    unit_index,
 )
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -80,10 +82,8 @@ class LogDensityModel:
         self.n_c = np.bincount(idx, minlength=C).astype(float)
         self.k_c = np.bincount(idx, weights=dataset.survey.vote,
                                minlength=C).astype(float)
-        self._s0 = cells.state_id - 1
-        self._z = income_code(cells.income_cat)
-        self._i0 = cells.income_cat - 1
-        self._e0 = np.maximum(cells.ethnicity - 1, 0)
+        self._idx = unit_index(self.layout, cells.state_id, cells.income_cat,
+                               cells.ethnicity)
 
     @property
     def n_params(self) -> int:
@@ -107,27 +107,19 @@ class LogDensityModel:
             p["log_sc"] = params[lay.sl("sigma_cat")][0]
         return p
 
-    def _eta(self, p):
-        coef = p["beta"][0]
-        if self.spec.varying_slope:
-            coef = coef + p["slope"][self._s0]
-        eta = p["alpha"][self._s0] + coef * self._z
-        if self.spec.use_ethnicity:
-            eth_coef = np.concatenate([[0.0], p["beta"][1:]])
-            eta = eta + eth_coef[self._e0]
-        if self.spec.category_offsets:
-            eta = eta + p["cat"][self._i0]
-        return eta
-
     # -- density -------------------------------------------------------------
 
-    def log_posterior(self, params) -> float:
+    def _check(self, params) -> np.ndarray:
         params = np.asarray(params, dtype=float)
         if params.shape != (self.n_params,):
             raise ValueError(f"parameter vector length {params.shape} != "
                              f"({self.n_params},)")
+        return params
+
+    def log_posterior(self, params) -> float:
+        params = self._check(params)
         p = self._unpack(params)
-        eta = self._eta(p)
+        eta = eta_kernel(params, self.layout, self._idx)
         ll = float(np.sum(self.k_c * eta - self.n_c * _softplus(eta)))
         return ll + self._log_hierarchy(p) + self._log_prior(p)
 
@@ -186,38 +178,20 @@ class LogDensityModel:
 
     # -- gradient ------------------------------------------------------------
 
+    # extreme warmup excursions can saturate tanh(zrho) to +-1; the
+    # resulting non-finite gradient is caught by divergence handling,
+    # so the intermediate 1/0 warnings are expected noise
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def grad(self, params) -> np.ndarray:
-        params = np.asarray(params, dtype=float)
-        if params.shape != (self.n_params,):
-            raise ValueError(f"parameter vector length {params.shape} != "
-                             f"({self.n_params},)")
+        params = self._check(params)
         p = self._unpack(params)
         lay = self.layout
         S = lay.n_states
-        g = np.zeros(self.n_params)
-        # extreme warmup excursions can saturate tanh(zrho) to +-1; the
-        # resulting non-finite gradient is caught by divergence handling,
-        # so the intermediate 1/0 warnings are expected noise
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self._grad_inner(p, lay, S, g)
-
-    def _grad_inner(self, p, lay, S, g):
 
         # likelihood
-        eta = self._eta(p)
+        eta = eta_kernel(params, lay, self._idx)
         gl = self.k_c - self.n_c * expit(eta)            # d loglik / d eta_c
-        g[lay.sl("alpha")] += np.bincount(self._s0, weights=gl, minlength=S)
-        glz = gl * self._z
-        g_beta = g[lay.sl("beta")]
-        g_beta[0] += glz.sum()
-        if self.spec.use_ethnicity:
-            by_eth = np.bincount(self._e0, weights=gl, minlength=N_ETH)
-            g_beta[1:] += by_eth[1:]
-        if self.spec.varying_slope:
-            g[lay.sl("slope")] += np.bincount(self._s0, weights=glz, minlength=S)
-        if self.spec.category_offsets:
-            g[lay.sl("cat")] += np.bincount(self._i0, weights=gl,
-                                            minlength=N_INCOME)
+        g = eta_adjoint(gl, lay, self._idx, np.zeros(self.n_params))
 
         # hierarchy
         sa = _exp_clip(p["log_sa"])

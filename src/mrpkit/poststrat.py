@@ -7,7 +7,7 @@ never from aggregating summaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logit
@@ -15,6 +15,21 @@ from scipy.special import expit, logit
 from mrpkit.data import N_INCOME, CellTable, StateTable
 from mrpkit.design import ParameterLayout, eta_cells, income_code
 from mrpkit.samplers import PosteriorDraws
+
+
+def draw_summary(draws: np.ndarray) -> dict:
+    """Mean, sd and quantiles over draws (rows) of each column."""
+    th = np.atleast_2d(draws)
+    return {
+        "mean": th.mean(axis=0),
+        "sd": th.std(axis=0, ddof=1) if th.shape[0] > 1
+        else np.zeros(th.shape[1]),
+        "q05": np.quantile(th, 0.05, axis=0),
+        "q25": np.quantile(th, 0.25, axis=0),
+        "q50": np.quantile(th, 0.50, axis=0),
+        "q75": np.quantile(th, 0.75, axis=0),
+        "q95": np.quantile(th, 0.95, axis=0),
+    }
 
 
 @dataclass
@@ -38,17 +53,7 @@ class CellEstimates:
         return self.eta.shape[0]
 
     def summary(self) -> dict:
-        th = self.theta
-        return {
-            "mean": th.mean(axis=0),
-            "sd": th.std(axis=0, ddof=1) if self.n_draws > 1
-            else np.zeros(th.shape[1]),
-            "q05": np.quantile(th, 0.05, axis=0),
-            "q25": np.quantile(th, 0.25, axis=0),
-            "q50": np.quantile(th, 0.50, axis=0),
-            "q75": np.quantile(th, 0.75, axis=0),
-            "q95": np.quantile(th, 0.95, axis=0),
-        }
+        return draw_summary(self.theta)
 
 
 @dataclass
@@ -65,29 +70,14 @@ class AggregateEstimates:
         return len(self.keys)
 
     def summary(self) -> dict:
-        th = np.atleast_2d(self.theta)
-        D = th.shape[0]
-        return {
-            "mean": th.mean(axis=0),
-            "sd": th.std(axis=0, ddof=1) if D > 1 else np.zeros(th.shape[1]),
-            "q05": np.quantile(th, 0.05, axis=0),
-            "q25": np.quantile(th, 0.25, axis=0),
-            "q50": np.quantile(th, 0.50, axis=0),
-            "q75": np.quantile(th, 0.75, axis=0),
-            "q95": np.quantile(th, 0.95, axis=0),
-        }
+        return draw_summary(self.theta)
 
 
 def predict_cells(draws: PosteriorDraws, cells: CellTable,
                   layout: ParameterLayout) -> CellEstimates:
     """Linear predictor for every cell under every draw."""
-    D = draws.n_draws
-    C = len(cells)
-    eta = np.empty((D, C))
-    for d in range(D):
-        eta[d] = eta_cells(draws.draws[d], layout,
-                           cells.state_id, cells.income_cat, cells.ethnicity)
-    return CellEstimates(cells, eta)
+    return CellEstimates(cells, eta_cells(draws.draws, layout, cells.state_id,
+                                          cells.income_cat, cells.ethnicity))
 
 
 def _group_labels(cells: CellTable, dims, states: StateTable | None):
@@ -220,12 +210,7 @@ def state_income_slopes(cell_estimates: CellEstimates,
     z = income_code(np.arange(1, N_INCOME + 1))
     ls = (curve @ z) / float(np.sum(z * z))
 
-    def _summ(x):
-        return {"mean": x.mean(axis=0),
-                "q05": np.quantile(x, 0.05, axis=0),
-                "q95": np.quantile(x, 0.95, axis=0)}
-
-    out = {"gap": _summ(gap), "ls_slope": _summ(ls),
+    out = {"gap": draw_summary(gap), "ls_slope": draw_summary(ls),
            "gap_draws": gap, "ls_slope_draws": ls}
     if states is not None:
         out["avg_income"] = states.avg_income.copy()

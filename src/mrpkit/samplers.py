@@ -8,7 +8,7 @@ sampled; LogDensityModel is the usual target but test stubs work too.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -72,17 +72,6 @@ def fd_hessian(grad_fn, x, step=1e-5):
         e[i] = h
         H[:, i] = (grad_fn(x + e) - grad_fn(x - e)) / (2.0 * h)
     return 0.5 * (H + H.T)
-
-
-def _fd_hessian_diag(grad_fn, x, step=1e-5):
-    x = np.asarray(x, dtype=float)
-    out = np.empty(len(x))
-    for i in range(len(x)):
-        h = step * max(1.0, abs(x[i]))
-        e = np.zeros(len(x))
-        e[i] = h
-        out[i] = (grad_fn(x + e)[i] - grad_fn(x - e)[i]) / (2.0 * h)
-    return out
 
 
 def fit_map(model, init="zeros", max_iter=500, tol=1e-6):
@@ -414,6 +403,14 @@ def sample_mcmc(model, chains=4, warmup=1000, iters=1000, seed=0,
 # ---------------------------------------------------------------------------
 # persistence: flat float64 matrix + JSON header
 
+def write_json(path, obj) -> None:
+    """Indented JSON with sorted keys; numpy arrays are written as lists."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=1, sort_keys=True,
+                  default=lambda a: np.asarray(a).tolist())
+        f.write("\n")
+
+
 def save_draws(draws: PosteriorDraws, bin_path, json_path) -> None:
     arr = np.ascontiguousarray(draws.draws, dtype="<f8")
     with open(bin_path, "wb") as f:
@@ -427,13 +424,8 @@ def save_draws(draws: PosteriorDraws, bin_path, json_path) -> None:
         "blocks": draws.layout.block_dict() if draws.layout is not None else None,
     }
     if draws.diagnostics is not None:
-        d = draws.diagnostics
-        header["diagnostics"] = {
-            k: (np.asarray(v).tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in d.items()}
-    with open(json_path, "w", encoding="utf-8") as f:
-        json.dump(header, f, indent=1, sort_keys=True)
-        f.write("\n")
+        header["diagnostics"] = draws.diagnostics
+    write_json(json_path, header)
 
 
 def load_draws(bin_path, json_path, layout=None) -> PosteriorDraws:

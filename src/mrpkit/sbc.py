@@ -9,14 +9,13 @@ posterior draws. If sampling is correct the ranks are uniform.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 from scipy.stats import chi2
 
-from mrpkit.data import Dataset, Survey
-from mrpkit.design import build_layout, eta_cells, predictor_matrix
+from mrpkit.data import Dataset
+from mrpkit.design import build_layout, predictor_matrix
 from mrpkit.model import LogDensityModel, PriorConfig
 from mrpkit.samplers import sample_mcmc
-from mrpkit.synthetic import Scenario, make_cells, make_states
+from mrpkit.synthetic import Scenario, make_cells, make_states, simulate_poll
 
 
 def draw_from_prior(scenario: Scenario, prior: PriorConfig, states, rng):
@@ -58,21 +57,9 @@ def draw_from_prior(scenario: Scenario, prior: PriorConfig, states, rng):
 
 
 def _simulate_fixed_design(truth, scenario, states, cells, rng) -> Dataset:
-    layout = build_layout(scenario.spec, states)
-    theta = expit(eta_cells(truth, layout, cells.state_id, cells.income_cat,
-                            cells.ethnicity))
-    p = cells.n_adults / cells.n_adults.sum()
-    counts = rng.multinomial(scenario.n, p)
-    yes = rng.binomial(counts, theta)
-    sid = np.repeat(cells.state_id, counts)
-    inc = np.repeat(cells.income_cat, counts)
-    eth = np.repeat(cells.ethnicity, counts)
-    vote = np.zeros(counts.sum(), dtype=int)
-    pos = 0
-    for c in range(len(cells)):
-        vote[pos:pos + yes[c]] = 1
-        pos += counts[c]
-    return Dataset(Survey(sid, inc, eth, vote), cells, states)
+    """One replication's poll on the fixed states and cells; the name is
+    traced by perfbench/instrument.py."""
+    return simulate_poll(truth, scenario, states, cells, rng)
 
 
 def run_sbc(scenario: Scenario, reps=200, n_rank_draws=19,

@@ -9,7 +9,7 @@ reproduce the rich-state/poor-state slope pattern.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -207,16 +207,14 @@ def true_cell_theta(truth, scenario: Scenario, states=None, cells=None):
 
 
 def simulate_poll(truth, scenario: Scenario, states: StateTable | None = None,
-                  cells: CellTable | None = None) -> Dataset:
+                  cells: CellTable | None = None, rng=None) -> Dataset:
     """Respondents allocated to cells in proportion to adult population
     (times any income nonresponse skew), votes flipped at the cell
-    probability."""
+    probability. ``rng`` defaults to the scenario's own poll stream."""
     states = states if states is not None else make_states(scenario)
     cells = cells if cells is not None else make_cells(scenario, states)
-    layout = build_layout(scenario.spec, states)
-    theta = expit(eta_cells(truth, layout, cells.state_id, cells.income_cat,
-                            cells.ethnicity))
-    rng = _rng(scenario, 2)
+    theta = true_cell_theta(truth, scenario, states, cells)
+    rng = rng if rng is not None else _rng(scenario, 2)
 
     skew = np.asarray(scenario.nonresponse_skew)[cells.income_cat - 1]
     p = cells.n_adults * skew
@@ -224,15 +222,12 @@ def simulate_poll(truth, scenario: Scenario, states: StateTable | None = None,
     counts = rng.multinomial(scenario.n, p)
     yes = rng.binomial(counts, theta)
 
-    sid = np.repeat(cells.state_id, counts)
-    inc = np.repeat(cells.income_cat, counts)
-    eth = np.repeat(cells.ethnicity, counts)
-    vote = np.zeros(counts.sum(), dtype=int)
-    pos = 0
-    for c in range(len(cells)):
-        vote[pos:pos + yes[c]] = 1
-        pos += counts[c]
-    survey = Survey(sid, inc, eth, vote)
+    # each cell's respondents are contiguous, its yes votes first
+    vote = np.repeat(np.tile([1, 0], len(cells)),
+                     np.column_stack([yes, counts - yes]).ravel())
+    survey = Survey(np.repeat(cells.state_id, counts),
+                    np.repeat(cells.income_cat, counts),
+                    np.repeat(cells.ethnicity, counts), vote)
     return Dataset(survey, cells, states)
 
 

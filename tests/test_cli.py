@@ -104,6 +104,37 @@ def test_fit_missing_config(tmp_path):
     assert main(["fit", "--config", str(tmp_path / "none.ini")]) == 2
 
 
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_config_without_section_header(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("survey = survey.csv\n", encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.ini" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[sampler]\nchain = 2\n", "'chain'"),
+    ("[sampler]\nChains = 2\nSeeds = 3\n", "'seeds'"),
+    ("[samplers]\nchains = 2\n", "[samplers]"),
+])
+def test_fit_config_rejects_unknown_keys(tmp_path, capsys, text, named):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["fit", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "typo.ini" in err and named in err
+
+
+def test_simulate_config_rejects_unknown_key(tmp_path, capsys):
+    cfg, outdir = _sim_config(tmp_path)
+    with open(cfg, "a", encoding="utf-8") as f:
+        f.write("nn = 100\n")
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "'nn'" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_poststratify_state_rows(fitted_run):
     _, fitcfg, _, outdir = fitted_run
     assert main(["poststratify", "--config", fitcfg,
@@ -130,6 +161,25 @@ def test_poststratify_state_income_rows(fitted_run):
     with open(outdir / "estimates_state_income.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 30
+
+
+@pytest.mark.parametrize("grouping,name", [("state,income", "state_income"),
+                                           ("", "national")])
+def test_export_draws_header_matches_estimates(fitted_run, grouping, name):
+    _, fitcfg, _, outdir = fitted_run
+    assert main(["poststratify", "--config", fitcfg, "--grouping", grouping,
+                 "--export-draws"]) == 0
+    with open(outdir / f"estimates_{name}.csv", newline="") as f:
+        reader = csv.reader(f)
+        ncols = len(next(reader)) - 8  # key columns before the summaries
+        keys = [":".join(row[:ncols]) or "national" for row in reader]
+    dpath = outdir / f"estimates_{name}_draws.csv"
+    with open(dpath, newline="") as f:
+        header = next(csv.reader(f))
+    assert header == keys
+    assert header[0] == ("S01:1" if grouping else "national")
+    draws = np.loadtxt(dpath, delimiter=",", skiprows=1, ndmin=2)
+    assert draws.shape[1] == len(keys)
 
 
 def test_poststratify_bad_grouping(fitted_run):

@@ -133,6 +133,28 @@ def test_load_cells_direct_n_voters(tmp_path):
     assert cells.n_voters[-1] == 205.0
 
 
+@pytest.mark.parametrize("col,row", [("n_adults", "2,5,inf,0.6"),
+                                     ("n_adults", "2,5,nan,0.6"),
+                                     ("turnout_rate", "2,5,1000,nan")])
+def test_load_cells_rejects_non_finite(tmp_path, col, row):
+    text = _cells_csv(2).replace("2,5,1000,0.6", row)
+    p = _write(tmp_path / "cells.csv", text)
+    with pytest.raises(DataError, match=rf"cells.csv: row 11, column '{col}'"):
+        load_cells(p, ModelSpec("M1"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "lots"])
+def test_load_cells_rejects_bad_n_voters(tmp_path, value):
+    lines = ["state,income,n_voters"]
+    for s in (1, 2):
+        for i in range(1, 6):
+            lines.append(f"{s},{i},{value if (s, i) == (2, 3) else 100}")
+    p = _write(tmp_path / "cells.csv", "\n".join(lines) + "\n")
+    with pytest.raises(DataError,
+                       match=r"cells.csv: row 9, column 'n_voters'"):
+        load_cells(p, ModelSpec("M1"))
+
+
 # ---------------------------------------------------------------------------
 # compute_voter_weights
 
@@ -181,6 +203,19 @@ def test_load_states_rejects_degenerate_share(tmp_path):
                "state,avg_income,prev_rep_share,region\n"
                "AA,10,0.0,1\nBB,20,0.5,1\n")
     with pytest.raises(DataError, match="AA"):
+        load_states(p)
+
+
+@pytest.mark.parametrize("col,row", [
+    ("avg_income", "BB,nan,0.5,1"), ("avg_income", "BB,inf,0.5,1"),
+    ("prev_rep_share", "BB,20,nan,1"), ("prev_rep_share", "BB,20,x,1")])
+def test_load_states_rejects_non_finite(tmp_path, col, row):
+    # a NaN income would skip standardization (sd > 0 is False for NaN) and
+    # a NaN share would pass the (0, 1) check
+    p = _write(tmp_path / "states.csv",
+               "state,avg_income,prev_rep_share,region\n"
+               f"AA,10,0.4,1\n{row}\nCC,30,0.6,2\n")
+    with pytest.raises(DataError, match=rf"states.csv: row 3, column '{col}'"):
         load_states(p)
 
 

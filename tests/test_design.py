@@ -148,3 +148,18 @@ def test_eta_cells_rejects_out_of_cross():
     with pytest.raises(ValueError):
         eta_cells(params, layout, [1], [6], [0])
     eta_cells(params, layout, [1], [1], [0])  # in-range key is fine
+
+
+@pytest.mark.parametrize("rung,use_eth", [("M1", False), ("M2", False),
+                                          ("M3", True)])
+def test_eta_cells_batch_equals_rows(rung, use_eth):
+    # a (D, P) matrix of draws gives bit for bit the per-draw rows
+    states = make_state_table(7, n_regions=3, seed=5)
+    layout = build_layout(ModelSpec(rung, use_ethnicity=use_eth), states)
+    cells = make_cell_table(7, use_ethnicity=use_eth, seed=5)
+    draws = np.random.default_rng(8).standard_normal((6, layout.n_params))
+    keys = (cells.state_id, cells.income_cat, cells.ethnicity)
+    batch = eta_cells(draws, layout, *keys)
+    rows = np.stack([eta_cells(d, layout, *keys) for d in draws])
+    assert batch.shape == (6, len(cells))
+    assert np.array_equal(batch, rows)

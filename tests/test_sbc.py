@@ -2,8 +2,19 @@ import numpy as np
 
 from mrpkit.design import build_layout, predictor_matrix
 from mrpkit.model import PriorConfig
-from mrpkit.sbc import draw_from_prior, run_sbc, uniformity_pvalues
-from mrpkit.synthetic import Scenario, make_states
+from mrpkit.sbc import (
+    _simulate_fixed_design,
+    draw_from_prior,
+    run_sbc,
+    uniformity_pvalues,
+)
+from mrpkit.synthetic import (
+    Scenario,
+    draw_truth,
+    make_cells,
+    make_states,
+    simulate_poll,
+)
 
 
 def test_draw_from_prior_shapes_and_hierarchy():
@@ -42,3 +53,16 @@ def test_run_sbc_smoke():
     assert ranks.shape == (10, layout.n_params)
     assert ranks.min() >= 0
     assert ranks.max() <= 19
+
+
+def test_sbc_poll_is_simulate_poll():
+    sc = Scenario(S=5, rung="M3", n=700, seed=2, use_ethnicity=True)
+    states = make_states(sc)
+    cells = make_cells(sc, states)
+    truth = draw_truth(sc, states, cells)
+    a = _simulate_fixed_design(truth, sc, states, cells,
+                               np.random.default_rng(4)).survey
+    b = simulate_poll(truth, sc, states, cells, np.random.default_rng(4)).survey
+    for col in ("state_id", "income_cat", "ethnicity", "vote"):
+        assert np.array_equal(getattr(a, col), getattr(b, col))
+    assert len(b) == 700

@@ -138,3 +138,21 @@ def test_scenario_files_load_back(tmp_path):
                       sc.spec)
     assert len(ds.survey) == 500
     assert len(ds.cells) == 30
+
+
+def test_simulate_poll_default_rng_is_scenario_stream():
+    sc = Scenario(S=5, rung="M1", n=600, seed=9)
+    states = make_states(sc)
+    cells = make_cells(sc, states)
+    truth = draw_truth(sc, states, cells)
+    a = simulate_poll(truth, sc, states, cells).survey
+    b = simulate_poll(truth, sc, states, cells,
+                      np.random.default_rng([9, 2])).survey
+    assert np.array_equal(a.vote, b.vote)
+    assert np.array_equal(a.state_id, b.state_id)
+    # respondents are grouped by cell, each cell's yes votes first
+    idx = cells.cell_index(a.state_id, a.income_cat, a.ethnicity)
+    assert np.all(np.diff(idx) >= 0)
+    for c in np.unique(idx):
+        v = a.vote[idx == c]
+        assert np.all(np.diff(v) <= 0)
