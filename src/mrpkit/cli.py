@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from mrpkit import __version__
-from mrpkit.data import DataError, load_dataset
+from mrpkit.data import (N_INCOME, DataError, load_cells, load_dataset,
+                         load_recorded, load_states)
 from mrpkit.design import ModelSpec, build_layout
 from mrpkit.diagnostics import diagnostics_table
 from mrpkit.model import LogDensityModel, PriorConfig
@@ -127,13 +128,17 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _load(cfg: RunConfig):
-    for name, path in (("survey", cfg.survey), ("cells", cfg.cells),
-                       ("states", cfg.states)):
+def _check_inputs(cfg: RunConfig, names) -> None:
+    for name in names:
+        path = getattr(cfg, name)
         if not path:
             raise DataError(f"config is missing the {name} input path")
         if not os.path.exists(path):
             raise DataError(f"{name} file not found: {path}")
+
+
+def _load(cfg: RunConfig):
+    _check_inputs(cfg, ("survey", "cells", "states"))
     return load_dataset(cfg.survey, cfg.cells, cfg.states, cfg.spec)
 
 
@@ -170,34 +175,20 @@ def cmd_fit(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _read_recorded(path, states) -> np.ndarray:
-    rec = np.full(states.n_states, np.nan)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or "state" not in reader.fieldnames \
-                or "rep_share" not in reader.fieldnames:
-            raise DataError(f"{path}: needs columns state,rep_share")
-        for row in reader:
-            idx = states.index_of(row["state"].strip())
-            rec[idx - 1] = float(row["rep_share"])
-    if np.any(np.isnan(rec)):
-        missing = [states.labels[i] for i in np.flatnonzero(np.isnan(rec))]
-        raise DataError(f"{path}: missing recorded share for {missing[:5]}")
-    return rec
-
-
 def cmd_poststratify(cfg: RunConfig, grouping: str, recorded_path=None,
                      export_draws=False) -> int:
-    dataset = _load(cfg)
-    layout = build_layout(cfg.spec, dataset.states)
+    _check_inputs(cfg, ("cells", "states"))  # the survey is not needed
+    states = load_states(cfg.states)
+    cells = load_cells(cfg.cells, cfg.spec, states)
+    layout = build_layout(cfg.spec, states)
     draws = load_draws(os.path.join(cfg.outdir, "draws.bin"),
                        os.path.join(cfg.outdir, "draws.json"), layout)
-    est = predict_cells(draws, dataset.cells, layout)
+    est = predict_cells(draws, cells, layout)
     if recorded_path:
-        rec = _read_recorded(recorded_path, dataset.states)
-        est, _ = calibrate_to_totals(est, dataset.cells, rec)
+        rec = load_recorded(recorded_path, states)
+        est, _ = calibrate_to_totals(est, cells, rec)
     dims = tuple(d.strip() for d in grouping.split(",")) if grouping else ()
-    agg = poststratify(est, dataset.cells, dims, dataset.states)
+    agg = poststratify(est, cells, dims, states)
     name = "_".join(dims) if dims else "national"
     out = os.path.join(cfg.outdir, f"estimates_{name}.csv")
     s = agg.summary()
@@ -206,7 +197,7 @@ def cmd_poststratify(cfg: RunConfig, grouping: str, recorded_path=None,
         keycols = [("state_label" if d == "state" else d) for d in dims]
         w.writerow(keycols + ["mean", "sd", "q05", "q25", "q50", "q75", "q95",
                               "weight"])
-        labels = [[dataset.states.labels[v - 1] if d == "state" else v
+        labels = [[states.labels[v - 1] if d == "state" else v
                    for d, v in zip(dims, key)] for key in agg.keys]
         for g, kvals in enumerate(labels):
             w.writerow(kvals + [repr(float(s[k][g])) for k in
@@ -231,19 +222,15 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     agg = poststratify(est, dataset.cells, ("state", "income"))
     s = agg.summary()
     by_state = poststratify(est, dataset.cells, ("state",))
-    state_mean = dict(zip((k[0] for k in by_state.keys),
-                          by_state.summary()["mean"]))
+    state_mean = by_state.summary()["mean"]  # keys are states 1..S in order
 
-    sv = dataset.survey
-    raw = {}
-    for st, inc, v in zip(sv.state_id, sv.income_cat, sv.vote):
-        n, k = raw.get((st, inc), (0, 0))
-        raw[(st, inc)] = (n + 1, k + v)
+    # respondents and Republican votes per (state, income), over ethnicity
+    n_si, k_si = (c.reshape(dataset.states.n_states, N_INCOME, -1).sum(axis=2)
+                  for c in dataset.cell_counts())
 
     order = sorted(range(len(agg.keys)),
-                   key=lambda g: (-state_mean[agg.keys[g][0]], agg.keys[g]))
+                   key=lambda g: (-state_mean[agg.keys[g][0] - 1], agg.keys[g]))
     out = os.path.join(cfg.outdir, "diagnostics.csv")
-    os.makedirs(cfg.outdir, exist_ok=True)
     with open(out, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["state", "income", "n_respondents", "raw_mean", "raw_se",
@@ -253,7 +240,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
             label = dataset.states.labels[st - 1]
             if cfg.exclude_ak_hi_dc and label in REPORT_EXCLUDED_STATES:
                 continue
-            n, k = raw.get((st, inc), (0, 0))
+            n, k = int(n_si[st - 1, inc - 1]), int(k_si[st - 1, inc - 1])
             if n > 0:
                 p = float(k) / n
                 raw_mean = repr(p)

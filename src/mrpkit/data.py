@@ -4,14 +4,17 @@ All three tables are ingested from comma-delimited text with a header row.
 Tables are immutable numpy-array containers after construction; loaders
 validate category ranges, key uniqueness, and cross completeness up front so
 downstream code can index without checks.
+The cell order lives here (``cell_position``, ``cell_cross``), as do the
+respondent counts per cell (``Dataset.cell_counts``) and the state-label
+map (``StateTable.label_index``).
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -54,18 +57,20 @@ class StateTable:
     Republican two-party share, and region id (1..R).
 
     ``labels`` maps row position -> state label as it appears in the files;
-    state index i (1-based) refers to labels[i-1].
+    state index i (1-based) refers to labels[i-1]; ``label_index`` maps back.
     """
 
     labels: list[str]
     avg_income: np.ndarray      # standardized: mean 0, sd 1 across states
     prev_rep_share: np.ndarray  # fraction in (0, 1)
     region_id: np.ndarray       # int, 1..R
+    label_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.avg_income = np.asarray(self.avg_income, dtype=float)
         self.prev_rep_share = np.asarray(self.prev_rep_share, dtype=float)
         self.region_id = np.asarray(self.region_id, dtype=int)
+        self.label_index = {label: i + 1 for i, label in enumerate(self.labels)}
 
     @property
     def n_states(self) -> int:
@@ -78,8 +83,8 @@ class StateTable:
     def index_of(self, label: str) -> int:
         """1-based state index for a label; DataError if unknown."""
         try:
-            return self.labels.index(label) + 1
-        except ValueError:
+            return self.label_index[label]
+        except KeyError:
             raise DataError(f"unknown state label {label!r}") from None
 
 
@@ -102,9 +107,23 @@ class Survey(Sequence):
             int(self.ethnicity[i]), int(self.vote[i]),
         )
 
-    def __iter__(self) -> Iterator[SurveyResponse]:
-        for i in range(len(self)):
-            yield self[i]
+
+def cell_position(state_id, income_cat, ethnicity,
+                  use_ethnicity: bool) -> np.ndarray:
+    """Row position of cells in canonical order for the given keys."""
+    n_eth = N_ETH if use_ethnicity else 1
+    e = np.asarray(ethnicity, dtype=int)
+    e0 = np.where(e > 0, e - 1, 0)
+    return ((np.asarray(state_id) - 1) * N_INCOME
+            + (np.asarray(income_cat) - 1)) * n_eth + e0
+
+
+def cell_cross(n_states: int, use_ethnicity: bool):
+    """Keys of the full cross in canonical order; ethnicity 0 if inactive."""
+    eth = np.arange(1, N_ETH + 1) if use_ethnicity else np.zeros(1, dtype=int)
+    keys = np.meshgrid(np.arange(1, n_states + 1), np.arange(1, N_INCOME + 1),
+                       eth, indexing="ij")
+    return tuple(k.ravel() for k in keys)
 
 
 class CellTable:
@@ -140,14 +159,6 @@ class CellTable:
             float(self.n_voters[i]),
         )
 
-    def cell_index(self, state_id, income_cat, ethnicity) -> np.ndarray:
-        """Row position of cells in canonical order for the given keys."""
-        n_eth = N_ETH if self.use_ethnicity else 1
-        e = np.asarray(ethnicity, dtype=int)
-        e0 = np.where(e > 0, e - 1, 0)
-        return ((np.asarray(state_id) - 1) * N_INCOME
-                + (np.asarray(income_cat) - 1)) * n_eth + e0
-
 
 @dataclass
 class Dataset:
@@ -164,6 +175,15 @@ class Dataset:
             bad = int(s.state_id.max())
             raise DataError(f"survey references state index {bad} "
                             f"but only {self.states.n_states} states are defined")
+
+    def cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, k) per cell in cell order: respondents and Republican votes."""
+        s = self.survey
+        idx = cell_position(s.state_id, s.income_cat, s.ethnicity,
+                            self.cells.use_ethnicity)
+        C = len(self.cells)
+        return (np.bincount(idx, minlength=C),
+                np.bincount(idx, weights=s.vote, minlength=C).astype(int))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +233,9 @@ def _parse_float(value: str, row_num: int, col: str, path) -> float:
 
 def _state_index(value: str, states: StateTable | None, row_num: int, path) -> int:
     if states is not None:
-        if value not in states.labels:
+        if value not in states.label_index:
             raise DataError(f"{path}: row {row_num}: unknown state label {value!r}")
-        return states.labels.index(value) + 1
+        return states.label_index[value]
     return _parse_int(value, row_num, "state", 1, 10 ** 6, path)
 
 
@@ -304,7 +324,7 @@ def load_cells(path, spec, states: StateTable | None = None) -> CellTable:
         c_na = _col(header, "n_adults", path)
         c_tr = _col(header, "turnout_rate", path)
 
-    recs = {}
+    keys, vals = [], []
     for r, row in enumerate(rows, start=2):
         s = _state_index(row[c_state].strip(), states, r, path)
         i = _parse_int(row[c_income], r, "income", 1, N_INCOME, path)
@@ -323,41 +343,50 @@ def load_cells(path, spec, states: StateTable | None = None) -> CellTable:
             if not 0.0 <= tr <= 1.0:
                 raise DataError(f"{path}: row {r}: turnout_rate {tr} "
                                 f"outside [0, 1]")
-        key = (s, i, e)
-        if key in recs:
-            raise DataError(f"{path}: row {r}: duplicate cell key {key}")
-        recs[key] = (na, tr)
+        keys.append((s, i, e))
+        vals.append((na, tr))
 
-    n_states = states.n_states if states is not None else max(k[0] for k in recs)
-    eth_cats = range(1, N_ETH + 1) if spec.use_ethnicity else (0,)
-    missing = [(s, i, e)
-               for s in range(1, n_states + 1)
-               for i in range(1, N_INCOME + 1)
-               for e in eth_cats
-               if (s, i, e) not in recs]
-    if missing:
+    # parsed keys lie inside the cross: find repeats and gaps by position
+    keys = np.array(keys, dtype=int).reshape(-1, 3)
+    n_states = states.n_states if states is not None else keys[:, 0].max()
+    pos = cell_position(*keys.T, spec.use_ethnicity)
+    first = np.unique(pos, return_index=True)[1]
+    if len(first) < len(pos):
+        j = np.setdiff1d(np.arange(len(pos)), first)[0]
+        raise DataError(f"{path}: row {j + 2}: duplicate cell key "
+                        f"{tuple(keys[j].tolist())}")
+    cross = cell_cross(n_states, spec.use_ethnicity)
+    missing = np.setdiff1d(np.arange(len(cross[0])), pos)
+    if len(missing):
         shown = ", ".join(f"(state={s}, income={i})" if e == 0
                           else f"(state={s}, income={i}, ethnicity={e})"
-                          for s, i, e in missing[:10])
+                          for s, i, e in zip(*(k[missing[:10]] for k in cross)))
         more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
         raise DataError(f"{path}: missing cells: {shown}{more}")
-    extra = len(recs) - n_states * N_INCOME * len(list(eth_cats))
-    if extra:
-        raise DataError(f"{path}: {extra} cell(s) outside the declared cross")
+    na, tr = np.array(vals).reshape(-1, 2)[np.argsort(pos)].T.copy()
+    return CellTable(*cross, na, tr)
 
-    keys = sorted(recs)  # canonical (state, income, ethnicity) order
-    na = np.array([recs[k][0] for k in keys])
-    tr = np.array([recs[k][1] for k in keys])
-    ks = np.array(keys)
-    return CellTable(ks[:, 0], ks[:, 1], ks[:, 2], na, tr)
+
+def load_recorded(path, states: StateTable) -> np.ndarray:
+    """Read recorded two-party Republican shares (state,rep_share) into an
+    array indexed by state; every state needs one."""
+    header, rows = _read_rows(path)
+    c_state = _col(header, "state", path)
+    c_share = _col(header, "rep_share", path)
+    rec = np.full(states.n_states, np.nan)
+    for r, row in enumerate(rows, start=2):
+        idx = _state_index(row[c_state].strip(), states, r, path)
+        rec[idx - 1] = _parse_float(row[c_share], r, "rep_share", path)
+    if np.any(np.isnan(rec)):
+        missing = [states.labels[i] for i in np.flatnonzero(np.isnan(rec))]
+        raise DataError(f"{path}: missing recorded share for {missing[:5]}")
+    return rec
 
 
 def load_dataset(survey_path, cells_path, states_path, spec) -> Dataset:
     states = load_states(states_path)
     survey = load_survey(survey_path, spec, states)
     cells = load_cells(cells_path, spec, states)
-    if cells.n_states != states.n_states:
-        raise DataError("cells table does not cover every state in states.csv")
     return Dataset(survey, cells, states)
 
 

@@ -34,6 +34,7 @@ from mrpkit.design import (
 )
 
 LOG_2PI = np.log(2.0 * np.pi)
+INITIAL_POINT_ROUNDS = 3  # conditional-MAP / scale-update alternations
 
 
 @dataclass(frozen=True)
@@ -74,16 +75,9 @@ class LogDensityModel:
         self.cells = dataset.cells
         self.W = predictor_matrix(dataset.states, spec)
 
-        cells = dataset.cells
-        idx = cells.cell_index(dataset.survey.state_id,
-                               dataset.survey.income_cat,
-                               dataset.survey.ethnicity)
-        C = len(cells)
-        self.n_c = np.bincount(idx, minlength=C).astype(float)
-        self.k_c = np.bincount(idx, weights=dataset.survey.vote,
-                               minlength=C).astype(float)
-        self._idx = unit_index(self.layout, cells.state_id, cells.income_cat,
-                               cells.ethnicity)
+        self.n_c, self.k_c = (c.astype(float) for c in dataset.cell_counts())
+        self._idx = unit_index(self.layout, self.cells.state_id,
+                               self.cells.income_cat, self.cells.ethnicity)
 
     @property
     def n_params(self) -> int:
@@ -249,7 +243,7 @@ class LogDensityModel:
 
     # -- initialization ------------------------------------------------------
 
-    def initial_point(self, n_rounds=3):
+    def initial_point(self):
         """Stable starting point for sampling: concave conditional MAP over
         location parameters with the scales held fixed, alternated with
         moment updates of the scales.
@@ -268,7 +262,7 @@ class LogDensityModel:
                                 for n in fixed_names])
         free = np.setdiff1d(np.arange(P), fixed)
         x = np.zeros(P)
-        for _ in range(n_rounds):
+        for _ in range(INITIAL_POINT_ROUNDS):
             def neg(xf):
                 y = x.copy()
                 y[free] = xf

@@ -16,6 +16,9 @@ from mrpkit.data import N_INCOME, CellTable, StateTable
 from mrpkit.design import ParameterLayout, eta_cells, income_code
 from mrpkit.samplers import PosteriorDraws
 
+CALIBRATE_TOL = 1e-10     # |state aggregate - recorded share| to stop at
+CALIBRATE_MAX_ITER = 200  # safeguarded Newton steps per state
+
 
 def draw_summary(draws: np.ndarray) -> dict:
     """Mean, sd and quantiles over draws (rows) of each column."""
@@ -135,8 +138,7 @@ def poststratify(cell_estimates: CellEstimates, cells: CellTable | None = None,
 
 
 def calibrate_to_totals(cell_estimates: CellEstimates, cells: CellTable | None,
-                        recorded: dict | np.ndarray,
-                        tol=1e-10, max_iter=200):
+                        recorded: dict | np.ndarray):
     """Shift each state's cell linear predictors so the state aggregate
     matches its recorded two-party Republican share, separately per draw.
 
@@ -172,9 +174,9 @@ def calibrate_to_totals(cell_estimates: CellEstimates, cells: CellTable | None,
         delta = logit(target) - cur
         lo = np.full(D, -80.0)
         hi = np.full(D, 80.0)
-        for _ in range(max_iter):
+        for _ in range(CALIBRATE_MAX_ITER):
             f = expit(sub + delta[:, None]) @ w - target
-            done = np.abs(f) < tol
+            done = np.abs(f) < CALIBRATE_TOL
             if np.all(done):
                 break
             hi = np.where(f > 0, np.minimum(hi, delta), hi)
@@ -200,11 +202,8 @@ def state_income_slopes(cell_estimates: CellEstimates,
     """
     cells = cells if cells is not None else cell_estimates.cells
     agg = poststratify(cell_estimates, cells, ("state", "income"))
-    S = cells.n_states
-    D = agg.theta.shape[0]
-    curve = np.empty((D, S, N_INCOME))
-    for g, (s, i) in enumerate(agg.keys):
-        curve[:, s - 1, i - 1] = agg.theta[:, g]
+    # keys are the full (state, income) cross in sorted order
+    curve = agg.theta.reshape(-1, cells.n_states, N_INCOME)  # (D, S, I)
 
     gap = curve[:, :, N_INCOME - 1] - curve[:, :, 0]  # (D, S)
     z = income_code(np.arange(1, N_INCOME + 1))
@@ -221,7 +220,5 @@ def national_income_gap(cell_estimates: CellEstimates,
                         cells: CellTable | None = None) -> np.ndarray:
     """Draws of the national top-minus-bottom income category gap."""
     cells = cells if cells is not None else cell_estimates.cells
-    agg = poststratify(cell_estimates, cells, ("income",))
-    top = agg.keys.index((N_INCOME,))
-    bot = agg.keys.index((1,))
-    return agg.theta[:, top] - agg.theta[:, bot]
+    agg = poststratify(cell_estimates, cells, ("income",))  # incomes 1..5
+    return agg.theta[:, -1] - agg.theta[:, 0]

@@ -14,6 +14,15 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
+FD_STEP = 1e-5  # relative finite-difference step of fd_hessian
+DIVERGENCE_ENERGY = 1000.0
+MAX_LEAPFROG_STEPS = 512
+INIT_JITTER = 0.1            # sd of the jitter around the chains' center
+DIVERGENCE_WARN_FRAC = 0.05  # divergent share of draws that warns
+MAX_METRIC_VARIANCE = 100.0  # cap on the dense metric's position variance
+# dual averaging (Hoffman & Gelman 2014): shrinkage, offset, averaging decay
+DA_GAMMA, DA_T0, DA_KAPPA = 0.05, 10.0, 0.75
+
 
 class ConvergenceError(RuntimeError):
     """Optimization or sampling failed to converge; carries the best point."""
@@ -61,13 +70,13 @@ class PosteriorDraws:
 # ---------------------------------------------------------------------------
 # MAP + Laplace
 
-def fd_hessian(grad_fn, x, step=1e-5):
+def fd_hessian(grad_fn, x):
     """Central finite differences of an analytic gradient; symmetrized."""
     x = np.asarray(x, dtype=float)
     P = len(x)
     H = np.empty((P, P))
     for i in range(P):
-        h = step * max(1.0, abs(x[i]))
+        h = FD_STEP * max(1.0, abs(x[i]))
         e = np.zeros(P)
         e[i] = h
         H[:, i] = (grad_fn(x + e) - grad_fn(x - e)) / (2.0 * h)
@@ -158,9 +167,6 @@ def sample_laplace(map_point, hessian_factor, n_draws, seed=0, layout=None):
 # ---------------------------------------------------------------------------
 # Hamiltonian Monte Carlo
 
-DIVERGENCE_ENERGY = 1000.0
-
-
 class _DiagMetric:
     """Diagonal kinetic energy; inv_mass holds per-coordinate variances."""
 
@@ -185,12 +191,12 @@ class _DenseMetric:
     exactly what weakly identified coefficient sums need.
     """
 
-    def __init__(self, precision, max_variance=100.0):
+    def __init__(self, precision):
         A = 0.5 * (np.asarray(precision) + np.asarray(precision).T)
         w, U = np.linalg.eigh(A)
         # indefinite or near-null directions: use magnitude, cap the implied
         # position variance so soft directions stay explorable but bounded
-        wc = np.clip(np.abs(w), 1.0 / max_variance, None)
+        wc = np.clip(np.abs(w), 1.0 / MAX_METRIC_VARIANCE, None)
         self._U = U
         self._w = wc
         self._sample_fac = U * np.sqrt(wc)
@@ -239,9 +245,9 @@ def _find_reasonable_eps(q, logp_fn, grad_fn, metric, rng):
 class _DualAveraging:
     """Nesterov dual averaging on log step size (target acceptance delta)."""
 
-    def __init__(self, eps0, delta=0.8, gamma=0.05, t0=10.0, kappa=0.75):
+    def __init__(self, eps0, delta=0.8):
         self.mu = np.log(10.0 * eps0)
-        self.delta, self.gamma, self.t0, self.kappa = delta, gamma, t0, kappa
+        self.delta = delta
         self.log_eps = np.log(eps0)
         self.log_eps_bar = 0.0
         self.h_bar = 0.0
@@ -249,10 +255,10 @@ class _DualAveraging:
 
     def update(self, accept_prob):
         self.t += 1
-        frac = 1.0 / (self.t + self.t0)
+        frac = 1.0 / (self.t + DA_T0)
         self.h_bar = (1 - frac) * self.h_bar + frac * (self.delta - accept_prob)
-        self.log_eps = self.mu - np.sqrt(self.t) / self.gamma * self.h_bar
-        w = self.t ** (-self.kappa)
+        self.log_eps = self.mu - np.sqrt(self.t) / DA_GAMMA * self.h_bar
+        w = self.t ** (-DA_KAPPA)
         self.log_eps_bar = w * self.log_eps + (1 - w) * self.log_eps_bar
         return np.exp(self.log_eps)
 
@@ -262,7 +268,7 @@ class _DualAveraging:
 
 
 def _run_chain(model, warmup, iters, rng, q0, metric, adapt_mass,
-               target_accept, traj_length, max_steps):
+               target_accept, traj_length):
     logp_fn = model.log_posterior
     grad_fn = model.grad
     q = np.asarray(q0, dtype=float).copy()
@@ -286,7 +292,8 @@ def _run_chain(model, warmup, iters, rng, q0, metric, adapt_mass,
         p0 = metric.sample(rng)
         h0 = -logp + metric.kinetic(p0)
         jitter = rng.uniform(0.8, 1.2)
-        n_steps = int(np.clip(round(jitter * traj_length / eps), 1, max_steps))
+        n_steps = int(np.clip(round(jitter * traj_length / eps), 1,
+                              MAX_LEAPFROG_STEPS))
         q1, p1, grad1, ok = _leapfrog(q, p0, grad, eps, metric, n_steps, grad_fn)
         if ok:
             logp1 = logp_fn(q1)
@@ -320,24 +327,23 @@ def _run_chain(model, warmup, iters, rng, q0, metric, adapt_mass,
 
 
 def sample_mcmc(model, chains=4, warmup=1000, iters=1000, seed=0,
-                init="map", target_accept=0.8, traj_length=1.2,
-                max_steps=512, jitter_scale=0.1,
-                divergence_warn_frac=0.05):
+                init="map", target_accept=0.8, traj_length=1.2):
     """HMC over the unconstrained parameter vector.
 
     init: "map" starts chains at the MAP plus Gaussian jitter and uses the
-    Laplace curvature as a fixed diagonal metric; "diffuse" starts from
-    N(0, 2) draws and adapts a diagonal metric during warmup; an array is
-    used directly (with warmup metric adaptation).
+    curvature there as a fixed dense metric; "diffuse" starts from N(0, 2)
+    draws and adapts a diagonal metric during warmup.
 
     Diagnostics (requires chains >= 2) are attached to the result; R-hat
     above 1.1 flags the run non-converged but is not an error.
     """
+    if not (isinstance(init, str) and init in ("map", "diffuse")):
+        raise ValueError(f"unknown init {init!r}")
     P = model.n_params
-    adapt_mass = True
+    adapt_mass = init == "diffuse"  # "map" keeps its dense metric fixed
     metric = _DiagMetric(np.ones(P))
     centers = None
-    if isinstance(init, str) and init == "map":
+    if init == "map":
         # stabilized mode-finding where available (hierarchical models have a
         # degenerate joint mode); plain MAP otherwise
         if hasattr(model, "initial_point"):
@@ -351,12 +357,6 @@ def sample_mcmc(model, chains=4, warmup=1000, iters=1000, seed=0,
         # full curvature at the center sets a dense metric; this is what
         # handles weakly identified coefficient-sum directions
         metric = _DenseMetric(-fd_hessian(model.grad, centers))
-        adapt_mass = False
-    elif isinstance(init, str) and init == "diffuse":
-        centers = None
-    else:
-        centers = np.asarray(init, dtype=float)
-        adapt_mass = True
 
     all_draws, all_chain, total_div = [], [], 0
     accept_rates, step_sizes = [], []
@@ -365,10 +365,10 @@ def sample_mcmc(model, chains=4, warmup=1000, iters=1000, seed=0,
         if centers is None:
             q0 = 2.0 * rng.standard_normal(P)
         else:
-            q0 = centers + jitter_scale * rng.standard_normal(P)
+            q0 = centers + INIT_JITTER * rng.standard_normal(P)
         draws, n_div, acc, eps = _run_chain(
             model, warmup, iters, rng, q0, metric, adapt_mass,
-            target_accept, traj_length, max_steps)
+            target_accept, traj_length)
         all_draws.append(draws)
         all_chain.append(np.full(iters, c))
         total_div += n_div
@@ -383,7 +383,7 @@ def sample_mcmc(model, chains=4, warmup=1000, iters=1000, seed=0,
     diag = {"divergent": total_div, "divergence_fraction": div_frac,
             "accept_rate": accept_rates, "step_size": step_sizes,
             "warnings": []}
-    if div_frac > divergence_warn_frac:
+    if div_frac > DIVERGENCE_WARN_FRAC:
         diag["warnings"].append(
             f"{total_div} divergent transitions ({div_frac:.1%})")
     if chains >= 2:

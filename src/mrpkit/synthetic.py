@@ -15,12 +15,12 @@ import numpy as np
 from scipy.special import expit
 
 from mrpkit.data import (
-    N_ETH,
     N_INCOME,
     CellTable,
     Dataset,
     StateTable,
     Survey,
+    cell_cross,
     write_cells,
     write_states,
     write_survey,
@@ -89,22 +89,13 @@ def make_states(scenario: Scenario) -> StateTable:
 
 def make_cells(scenario: Scenario, states: StateTable) -> CellTable:
     rng = _rng(scenario, 3)
-    S = scenario.S
-    pops = np.round(1e6 * np.exp(0.5 * rng.standard_normal(S)))
-    eth_cats = range(1, N_ETH + 1) if scenario.use_ethnicity else (0,)
-    sid, inc, eth, na, tr = [], [], [], [], []
-    for s in range(1, S + 1):
-        for i in range(1, N_INCOME + 1):
-            for e in eth_cats:
-                frac = scenario.income_profile[i - 1]
-                if e:
-                    frac *= DEFAULT_ETH_PROFILE[e - 1]
-                sid.append(s)
-                inc.append(i)
-                eth.append(e)
-                na.append(round(pops[s - 1] * frac))
-                tr.append(scenario.turnout_by_income[i - 1])
-    return CellTable(sid, inc, eth, na, tr)
+    pops = np.round(1e6 * np.exp(0.5 * rng.standard_normal(scenario.S)))
+    sid, inc, eth = cell_cross(scenario.S, scenario.use_ethnicity)
+    frac = np.asarray(scenario.income_profile)[inc - 1]
+    if scenario.use_ethnicity:
+        frac = frac * np.asarray(DEFAULT_ETH_PROFILE)[eth - 1]
+    return CellTable(sid, inc, eth, np.round(pops[sid - 1] * frac),
+                     np.asarray(scenario.turnout_by_income)[inc - 1])
 
 
 def draw_truth(scenario: Scenario, states: StateTable | None = None,

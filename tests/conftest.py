@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrpkit.data import CellTable, Dataset, StateTable, Survey
+from mrpkit.data import CellTable, Dataset, StateTable, Survey, cell_cross
 from mrpkit.design import ModelSpec
 
 
@@ -18,14 +18,7 @@ def make_state_table(S, n_regions=2, seed=0):
 
 def make_cell_table(S, use_ethnicity=False, seed=0):
     rng = np.random.default_rng(seed)
-    eth_cats = range(1, 5) if use_ethnicity else (0,)
-    sid, inc, eth = [], [], []
-    for s in range(1, S + 1):
-        for i in range(1, 6):
-            for e in eth_cats:
-                sid.append(s)
-                inc.append(i)
-                eth.append(e)
+    sid, inc, eth = cell_cross(S, use_ethnicity)
     n = len(sid)
     n_adults = np.round(1000 + 9000 * rng.random(n))
     turnout = 0.4 + 0.4 * rng.random(n)

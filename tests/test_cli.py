@@ -3,6 +3,7 @@ import filecmp
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -25,12 +26,12 @@ def _sim_config(tmp_path, S=6, n=800, seed=3, kind="basic"):
 
 
 def _fit_config(tmp_path, datadir, outdir, rung="M1", chains=2,
-                warmup=150, iters=150, seed=7, extra=""):
+                warmup=150, iters=150, seed=7, extra="", model=""):
     cfg = tmp_path / f"fit_{os.path.basename(str(outdir))}.ini"
     cfg.write_text(
         f"[data]\nsurvey = {datadir}/survey.csv\ncells = {datadir}/cells.csv\n"
         f"states = {datadir}/states.csv\n"
-        f"[model]\nrung = {rung}\n"
+        f"[model]\nrung = {rung}\n{model}"
         f"[sampler]\nchains = {chains}\nwarmup = {warmup}\niters = {iters}\n"
         f"seed = {seed}\n"
         f"[output]\ndir = {outdir}\n" + extra, encoding="utf-8")
@@ -208,6 +209,54 @@ def test_poststratify_calibrated_matches_recorded(fitted_run, tmp_path):
         assert abs(got[lbl] - s) < 1e-8
 
 
+def test_poststratify_without_survey(fitted_run, tmp_path):
+    # poststratify reads only the states and cells tables
+    _, _, datadir, outdir = fitted_run
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(datadir, data)
+    shutil.copytree(outdir, run)
+    (data / "survey.csv").unlink()
+    cfg = _fit_config(tmp_path, data, run)
+    assert main(["poststratify", "--config", cfg, "--grouping", "state"]) == 0
+    with open(run / "estimates_state.csv", newline="") as f:
+        assert len(list(csv.DictReader(f))) == 6
+
+
+def _recorded(path, states, rows=()):
+    """Recorded shares for every state, with ``rows`` (label, value)
+    replacing or appending entries."""
+    shares = {lbl: "0.5" for lbl in states.labels}
+    shares.update(rows)
+    path.write_text("state,rep_share\n" + "".join(
+        f"{lbl},{v}\n" for lbl, v in shares.items()), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("value,message", [
+    ("np.float64(0.5915008771236141)", "cannot parse"),
+    ("nan", "non-finite"), ("inf", "non-finite")])
+def test_poststratify_recorded_bad_share(fitted_run, tmp_path, capsys,
+                                         value, message):
+    _, fitcfg, datadir, _ = fitted_run
+    states = load_states(datadir / "states.csv")
+    rec = _recorded(tmp_path / "recorded.csv", states,
+                    [(states.labels[1], value)])
+    assert main(["poststratify", "--config", fitcfg, "--recorded", rec]) == 2
+    err = capsys.readouterr().err
+    assert "recorded.csv: row 3, column 'rep_share'" in err
+    assert message in err and "missing recorded share" not in err
+
+
+def test_poststratify_recorded_unknown_state(fitted_run, tmp_path, capsys):
+    _, fitcfg, datadir, _ = fitted_run
+    states = load_states(datadir / "states.csv")
+    rec = _recorded(tmp_path / "recorded.csv", states, [("XX", "0.5")])
+    row = states.n_states + 2
+    assert main(["poststratify", "--config", fitcfg, "--recorded", rec]) == 2
+    assert f"recorded.csv: row {row}: unknown state label 'XX'" \
+        in capsys.readouterr().err
+
+
 def test_diagnose_table(fitted_run):
     _, fitcfg, datadir, outdir = fitted_run
     assert main(["diagnose", "--config", fitcfg]) == 0
@@ -238,6 +287,28 @@ def test_diagnose_table(fitted_run):
     # rows ordered by decreasing state-level posterior mean
     state_order = [r["state"] for r in rows[::5]]
     assert len(set(state_order)) == 6
+
+
+def test_diagnose_sums_over_ethnicity(tmp_path):
+    sc = Scenario(S=4, rung="M1", n=600, seed=5, use_ethnicity=True)
+    datadir = tmp_path / "sim"
+    write_scenario_files(sc, datadir)
+    outdir = tmp_path / "run"
+    cfg = _fit_config(tmp_path, datadir, outdir, warmup=100, iters=100,
+                      model="use_ethnicity = true\n")
+    assert main(["fit", "--config", cfg]) in (0, 3)
+    assert main(["diagnose", "--config", cfg]) == 0
+    with open(outdir / "diagnostics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    with open(datadir / "survey.csv", newline="") as f:
+        sv = list(csv.DictReader(f))
+    assert len(rows) == 20 and "ethnicity" in sv[0]
+    for r in rows:
+        votes = [int(v["vote"]) for v in sv
+                 if (v["state"], v["income"]) == (r["state"], r["income"])]
+        assert int(r["n_respondents"]) == len(votes)
+        if votes:
+            assert float(r["raw_mean"]) == sum(votes) / len(votes)
 
 
 def test_diagnose_raw_se_closed_form(tmp_path):

@@ -4,8 +4,11 @@ import pytest
 from mrpkit.data import (
     CellTable,
     DataError,
+    Dataset,
     StateTable,
     Survey,
+    cell_cross,
+    cell_position,
     compute_voter_weights,
     load_cells,
     load_states,
@@ -16,7 +19,7 @@ from mrpkit.data import (
 )
 from mrpkit.design import ModelSpec
 
-from conftest import make_cell_table, make_state_table
+from conftest import make_cell_table, make_state_table, make_survey
 
 
 def _write(path, text):
@@ -115,6 +118,15 @@ def test_load_cells_duplicate_key(tmp_path):
         load_cells(p, ModelSpec("M1"))
 
 
+def test_load_cells_duplicate_key_names_second_row(tmp_path):
+    # (1, 2) first on row 3, again on row 8 with four rows between
+    text = _cells_csv(2).replace("2,2,1000,0.6", "1,2,1000,0.6")
+    p = _write(tmp_path / "cells.csv", text)
+    with pytest.raises(DataError,
+                       match=r"cells.csv: row 8: duplicate cell key \(1, 2, 0\)"):
+        load_cells(p, ModelSpec("M1"))
+
+
 def test_load_cells_bad_turnout(tmp_path):
     text = _cells_csv(2).replace("2,5,1000,0.6", "2,5,1000,1.4")
     p = _write(tmp_path / "cells.csv", text)
@@ -153,6 +165,43 @@ def test_load_cells_rejects_bad_n_voters(tmp_path, value):
     with pytest.raises(DataError,
                        match=r"cells.csv: row 9, column 'n_voters'"):
         load_cells(p, ModelSpec("M1"))
+
+
+# ---------------------------------------------------------------------------
+# the cell index
+
+@pytest.mark.parametrize("use_eth", [False, True])
+def test_cell_cross_is_canonical_order(use_eth):
+    S = 4
+    loop = [(s, i, e) for s in range(1, S + 1) for i in range(1, 6)
+            for e in (range(1, 5) if use_eth else (0,))]
+    keys = cell_cross(S, use_eth)
+    assert list(zip(*(k.tolist() for k in keys))) == loop
+    assert np.array_equal(cell_position(*keys, use_eth), np.arange(len(loop)))
+
+
+@pytest.mark.parametrize("use_eth", [False, True])
+def test_cell_counts_brute_force(use_eth):
+    S, n = 3, 500
+    rng = np.random.default_rng(4)
+    eth = rng.integers(1, 5, n) if use_eth else np.zeros(n, dtype=int)
+    survey = Survey(rng.integers(1, S + 1, n), rng.integers(1, 6, n), eth,
+                    rng.integers(0, 2, n))
+    cells = make_cell_table(S, use_ethnicity=use_eth)
+    n_c, k_c = Dataset(survey, cells, make_state_table(S)).cell_counts()
+    for c in range(len(cells)):
+        key = (cells.state_id[c], cells.income_cat[c], cells.ethnicity[c])
+        rows = [r for r in survey
+                if (r.state_id, r.income_cat, r.ethnicity) == key]
+        assert n_c[c] == len(rows)
+        assert k_c[c] == sum(r.vote for r in rows)
+    assert n_c.sum() == n
+
+
+def test_cell_counts_empty_cells():
+    ds = Dataset(make_survey(2, 0), make_cell_table(2), make_state_table(2))
+    n_c, k_c = ds.cell_counts()
+    assert n_c.shape == k_c.shape == (10,) and n_c.sum() == k_c.sum() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,13 @@ def test_mcmc_diffuse_init():
     assert abs(draws.draws.mean() - 3.0) < 0.1
 
 
+@pytest.mark.parametrize("init", ["zeros", np.zeros(1)],
+                         ids=["name", "array"])
+def test_mcmc_rejects_unknown_init(init):
+    with pytest.raises(ValueError, match="unknown init"):
+        sample_mcmc(_GaussianStub(np.zeros(1), np.eye(1)), init=init)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 

@@ -3,6 +3,7 @@ import filecmp
 import numpy as np
 import pytest
 
+from mrpkit.data import cell_position
 from mrpkit.design import build_layout, eta_cells, predictor_matrix
 from mrpkit.poststrat import CellEstimates, state_income_slopes
 from mrpkit.synthetic import (
@@ -65,10 +66,7 @@ def test_simulate_poll_cell_rates_converge():
     truth = draw_truth(sc, states, cells)
     theta = true_cell_theta(truth, sc, states, cells)
     ds = simulate_poll(truth, sc, states, cells)
-    idx = cells.cell_index(ds.survey.state_id, ds.survey.income_cat,
-                           ds.survey.ethnicity)
-    n = np.bincount(idx, minlength=len(cells))
-    k = np.bincount(idx, weights=ds.survey.vote, minlength=len(cells))
+    n, k = ds.cell_counts()
     emp = k / np.maximum(n, 1)
     assert np.max(np.abs(emp - theta)) < 0.01
 
@@ -151,7 +149,7 @@ def test_simulate_poll_default_rng_is_scenario_stream():
     assert np.array_equal(a.vote, b.vote)
     assert np.array_equal(a.state_id, b.state_id)
     # respondents are grouped by cell, each cell's yes votes first
-    idx = cells.cell_index(a.state_id, a.income_cat, a.ethnicity)
+    idx = cell_position(a.state_id, a.income_cat, a.ethnicity, False)
     assert np.all(np.diff(idx) >= 0)
     for c in np.unique(idx):
         v = a.vote[idx == c]
