@@ -13,6 +13,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import json
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -137,16 +138,33 @@ def _check_inputs(cfg: RunConfig, names) -> None:
             raise DataError(f"{name} file not found: {path}")
 
 
-def _load(cfg: RunConfig):
-    _check_inputs(cfg, ("survey", "cells", "states"))
-    return load_dataset(cfg.survey, cfg.cells, cfg.states, cfg.spec)
+def _check_manifest(cfg: RunConfig, names) -> None:
+    """DataError unless each named input exists and has the sha256 that the
+    fit recorded in the run's manifest.json."""
+    _check_inputs(cfg, names)
+    manifest = os.path.join(cfg.outdir, "manifest.json")
+    try:
+        with open(manifest, encoding="utf-8") as f:
+            recorded = json.load(f)["inputs"]
+    except FileNotFoundError:
+        raise DataError(f"{manifest} not found: run mrp fit first") from None
+    except (ValueError, KeyError):
+        raise DataError(f"{manifest}: cannot read the input checksums") \
+            from None
+    for name in names:
+        path = getattr(cfg, name)
+        if _sha256(path) != recorded.get(name):
+            raise DataError(f"{name} file {path} differs from the one fitted "
+                            f"(sha256 recorded in {manifest})")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_fit(cfg: RunConfig) -> int:
-    dataset = _load(cfg)  # validate inputs before touching the output dir
+    # validate inputs before touching the output dir
+    _check_inputs(cfg, ("survey", "cells", "states"))
+    dataset = load_dataset(cfg.survey, cfg.cells, cfg.states, cfg.spec)
     model = LogDensityModel(dataset, cfg.spec, cfg.prior)
     draws = sample_mcmc(model, chains=cfg.chains, warmup=cfg.warmup,
                         iters=cfg.iters, seed=cfg.seed)
@@ -177,7 +195,7 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 def cmd_poststratify(cfg: RunConfig, grouping: str, recorded_path=None,
                      export_draws=False) -> int:
-    _check_inputs(cfg, ("cells", "states"))  # the survey is not needed
+    _check_manifest(cfg, ("cells", "states"))  # the survey is not needed
     states = load_states(cfg.states)
     cells = load_cells(cfg.cells, cfg.spec, states)
     layout = build_layout(cfg.spec, states)
@@ -214,7 +232,8 @@ def cmd_poststratify(cfg: RunConfig, grouping: str, recorded_path=None,
 
 
 def cmd_diagnose(cfg: RunConfig) -> int:
-    dataset = _load(cfg)
+    _check_manifest(cfg, ("survey", "cells", "states"))
+    dataset = load_dataset(cfg.survey, cfg.cells, cfg.states, cfg.spec)
     layout = build_layout(cfg.spec, dataset.states)
     draws = load_draws(os.path.join(cfg.outdir, "draws.bin"),
                        os.path.join(cfg.outdir, "draws.json"), layout)

@@ -12,6 +12,7 @@ map (``StateTable.label_index``).
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -189,15 +190,55 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # loaders
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+def _read_text(path) -> tuple[list[str], str]:
+    """Header fields (stripped) and the text after the header record."""
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
-    return [h.strip() for h in header], rows
+        buf = io.StringIO(f.read(), newline="")
+    try:
+        header = next(csv.reader(buf))
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    return [h.strip() for h in header], buf.read()
+
+
+def _read_rows(path):
+    """Header fields and the data rows, see ``_rows``."""
+    header, body = _read_text(path)
+    return header, _rows(body, len(header), path)
+
+
+def _rows(body: str, n_fields: int, path):
+    """(row number, fields) of each data row as csv.reader reads them; a
+    row whose field count is not n_fields is an error when reached."""
+    rows = csv.reader(io.StringIO(body, newline=""))
+    for r, row in enumerate(rows, start=2):
+        if len(row) != n_fields:
+            raise DataError(f"{path}: row {r}: expected {n_fields} fields, "
+                            f"got {len(row)}")
+        yield r, row
+
+
+def _text_columns(body: str, n_fields: int) -> np.ndarray | None:
+    """(rows, n_fields) text array of the data rows, split in C, or None
+    when the text is not one record of n_fields per line as csv.reader reads
+    it. np.loadtxt skips blank lines and drops NUL characters, and it reads
+    a line break inside quotes as csv.reader does but spanning two lines;
+    the record count and the NUL test catch all three."""
+    if not body:
+        return np.empty((0, n_fields), dtype=str)
+    if "\x00" in body:
+        return None
+    if "\r" in body:  # loadtxt ends lines only at "\n" and "\r\n"
+        body = body.replace("\r\n", "\n").replace("\r", "\n")
+    n_lines = body.count("\n") + (not body.endswith("\n"))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns of blank lines
+            cols = np.loadtxt(io.StringIO(body), dtype=str, delimiter=",",
+                              comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    return cols if cols.shape == (n_lines, n_fields) else None
 
 
 def _col(header: list[str], name: str, path) -> int:
@@ -249,7 +290,7 @@ def load_states(path) -> StateTable:
     ci = {name: _col(header, name, path) for name in
           ("state", "avg_income", "prev_rep_share", "region")}
     labels, inc, share, region = [], [], [], []
-    for r, row in enumerate(rows, start=2):
+    for r, row in rows:
         label = row[ci["state"]].strip()
         if label in labels:
             raise DataError(f"{path}: row {r}: duplicate state {label!r}")
@@ -275,9 +316,11 @@ def load_survey(path, spec, states: StateTable | None = None) -> Survey:
 
     Rows with an empty vote field (no stated preference) are dropped and
     counted; a warning reports the count. Any other malformed field is an
-    error naming the row and column.
+    error naming the row and column; the first bad row in file order is
+    reported. The text is split into columns in C and each distinct row is
+    parsed once.
     """
-    header, rows = _read_rows(path)
+    header, body = _read_text(path)
     c_state = _col(header, "state", path)
     c_income = _col(header, "income", path)
     c_vote = _col(header, "vote", path)
@@ -285,20 +328,43 @@ def load_survey(path, spec, states: StateTable | None = None) -> Survey:
     if spec.use_ethnicity and c_eth is None:
         raise DataError(f"{path}: model uses ethnicity but column is missing")
 
-    state, income, eth, vote = [], [], [], []
-    n_dropped = 0
-    for r, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {r}: expected {len(header)} fields, "
-                            f"got {len(row)}")
-        if row[c_vote].strip() == "":
-            n_dropped += 1
-            continue
-        state.append(_state_index(row[c_state].strip(), states, r, path))
-        income.append(_parse_int(row[c_income], r, "income", 1, N_INCOME, path))
-        eth.append(_parse_int(row[c_eth], r, "ethnicity", 1, N_ETH, path)
-                   if (spec.use_ethnicity and c_eth is not None) else 0)
-        vote.append(_parse_int(row[c_vote], r, "vote", 0, 1, path))
+    used = [c_state, c_income] + ([c_eth] if spec.use_ethnicity else []) \
+        + [c_vote]
+
+    def parse(fields, r):
+        """(state, income, ethnicity, vote) from the used fields of row r;
+        None if the vote is empty."""
+        state, income, *eth, vote = fields
+        if vote.strip() == "":
+            return None
+        return (_state_index(state.strip(), states, r, path),
+                _parse_int(income, r, "income", 1, N_INCOME, path),
+                _parse_int(eth[0], r, "ethnicity", 1, N_ETH, path)
+                if eth else 0,
+                _parse_int(vote, r, "vote", 0, 1, path))
+
+    cols = _text_columns(body, len(header))
+    if cols is None:
+        # name the first bad row as csv.reader reads the file
+        for r, row in _rows(body, len(header), path):
+            parse([row[c] for c in used], r)
+        raise DataError(f"{path}: cannot be read one record per line: a "
+                        f"line break inside quotes or a NUL character")
+    sub = np.ascontiguousarray(cols[:, used])
+    keys = sub.view(np.dtype((np.void, sub.itemsize * len(used)))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    # each distinct row is parsed once, in order of first appearance, so
+    # the first to fail is the first bad row of the file
+    parsed = [None] * len(first)
+    for j in np.argsort(first):
+        parsed[j] = parse(sub[first[j]].tolist(), int(first[j]) + 2)
+    kept = np.array([p is not None for p in parsed], dtype=bool)[inverse]
+    table = np.array([p or (0, 0, 0, 0) for p in parsed],
+                     dtype=int).reshape(-1, 4)
+    state, income, eth, vote = table[inverse[kept]].T.copy()
+
+    n_dropped = len(kept) - int(kept.sum())
     if n_dropped:
         warnings.warn(f"{path}: dropped {n_dropped} row(s) with missing vote",
                       stacklevel=2)
@@ -325,7 +391,7 @@ def load_cells(path, spec, states: StateTable | None = None) -> CellTable:
         c_tr = _col(header, "turnout_rate", path)
 
     keys, vals = [], []
-    for r, row in enumerate(rows, start=2):
+    for r, row in rows:
         s = _state_index(row[c_state].strip(), states, r, path)
         i = _parse_int(row[c_income], r, "income", 1, N_INCOME, path)
         e = (_parse_int(row[c_eth], r, "ethnicity", 1, N_ETH, path)
@@ -374,7 +440,7 @@ def load_recorded(path, states: StateTable) -> np.ndarray:
     c_state = _col(header, "state", path)
     c_share = _col(header, "rep_share", path)
     rec = np.full(states.n_states, np.nan)
-    for r, row in enumerate(rows, start=2):
+    for r, row in rows:
         idx = _state_index(row[c_state].strip(), states, r, path)
         rec[idx - 1] = _parse_float(row[c_share], r, "rep_share", path)
     if np.any(np.isnan(rec)):

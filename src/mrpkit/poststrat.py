@@ -23,15 +23,12 @@ CALIBRATE_MAX_ITER = 200  # safeguarded Newton steps per state
 def draw_summary(draws: np.ndarray) -> dict:
     """Mean, sd and quantiles over draws (rows) of each column."""
     th = np.atleast_2d(draws)
+    q = np.quantile(th, (0.05, 0.25, 0.50, 0.75, 0.95), axis=0)
     return {
         "mean": th.mean(axis=0),
         "sd": th.std(axis=0, ddof=1) if th.shape[0] > 1
         else np.zeros(th.shape[1]),
-        "q05": np.quantile(th, 0.05, axis=0),
-        "q25": np.quantile(th, 0.25, axis=0),
-        "q50": np.quantile(th, 0.50, axis=0),
-        "q75": np.quantile(th, 0.75, axis=0),
-        "q95": np.quantile(th, 0.95, axis=0),
+        "q05": q[0], "q25": q[1], "q50": q[2], "q75": q[3], "q95": q[4],
     }
 
 
@@ -175,13 +172,13 @@ def calibrate_to_totals(cell_estimates: CellEstimates, cells: CellTable | None,
         lo = np.full(D, -80.0)
         hi = np.full(D, 80.0)
         for _ in range(CALIBRATE_MAX_ITER):
-            f = expit(sub + delta[:, None]) @ w - target
+            p = expit(sub + delta[:, None])
+            f = p @ w - target
             done = np.abs(f) < CALIBRATE_TOL
             if np.all(done):
                 break
             hi = np.where(f > 0, np.minimum(hi, delta), hi)
             lo = np.where(f < 0, np.maximum(lo, delta), lo)
-            p = expit(sub + delta[:, None])
             fp = (p * (1.0 - p)) @ w
             step = np.where(fp > 0, f / np.where(fp > 0, fp, 1.0), 0.0)
             cand = delta - step

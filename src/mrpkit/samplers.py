@@ -11,8 +11,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 FD_STEP = 1e-5  # relative finite-difference step of fd_hessian
 DIVERGENCE_ENERGY = 1000.0
@@ -90,6 +88,9 @@ def fit_map(model, init="zeros", max_iter=500, tol=1e-6):
     Cholesky factor of the negative Hessian at the mode (the Gaussian
     precision used by sample_laplace).
     """
+    import scipy.linalg
+    import scipy.optimize
+
     P = model.n_params
     x0 = np.zeros(P) if isinstance(init, str) and init == "zeros" \
         else np.asarray(init, dtype=float)
@@ -130,7 +131,7 @@ def fit_map(model, init="zeros", max_iter=500, tol=1e-6):
                     lam = max(lam / 10.0, 0.0)
                     improved = True
                     break
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            except np.linalg.LinAlgError:  # scipy.linalg raises the same
                 pass
             lam = max(lam * 10.0, 1e-8 * scale)
         if not improved:
@@ -156,6 +157,8 @@ def fit_map(model, init="zeros", max_iter=500, tol=1e-6):
 
 def sample_laplace(map_point, hessian_factor, n_draws, seed=0, layout=None):
     """Draws from the Gaussian approximation N(map, (L L^T)^-1)."""
+    import scipy.linalg
+
     L = np.asarray(hessian_factor)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_draws, len(map_point)))

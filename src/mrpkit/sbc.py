@@ -9,7 +9,6 @@ posterior draws. If sampling is correct the ranks are uniform.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import chi2
 
 from mrpkit.data import Dataset
 from mrpkit.design import build_layout, predictor_matrix
@@ -90,6 +89,8 @@ def run_sbc(scenario: Scenario, reps=200, n_rank_draws=19,
 def uniformity_pvalues(ranks, n_rank_draws=19, n_bins=10) -> np.ndarray:
     """Chi-square goodness-of-fit p-value of the rank histogram, per
     parameter. Ranks take values 0..n_rank_draws (n_rank_draws+1 outcomes)."""
+    from scipy.stats import chi2
+
     reps, P = ranks.shape
     levels = n_rank_draws + 1
     edges = np.linspace(0, levels, n_bins + 1)

@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -255,6 +257,89 @@ def test_poststratify_recorded_unknown_state(fitted_run, tmp_path, capsys):
     assert main(["poststratify", "--config", fitcfg, "--recorded", rec]) == 2
     assert f"recorded.csv: row {row}: unknown state label 'XX'" \
         in capsys.readouterr().err
+
+
+def test_poststratify_recorded_short_row(fitted_run, tmp_path, capsys):
+    _, fitcfg, datadir, _ = fitted_run
+    states = load_states(datadir / "states.csv")
+    rec = tmp_path / "recorded.csv"
+    _recorded(rec, states)
+    lines = rec.read_text().splitlines()
+    lines[2] = states.labels[1]  # row 3 lost its share and comma
+    rec.write_text("\n".join(lines) + "\n")
+    assert main(["poststratify", "--config", fitcfg, "--recorded",
+                 str(rec)]) == 2
+    assert "recorded.csv: row 3: expected 2 fields, got 1" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,row,line", [("cells.csv", 3, "S01,2"),
+                                           ("states.csv", 2, "S01,0.1")])
+def test_fit_short_row_names_file_and_row(tmp_path, capsys, name, row, line):
+    simcfg, datadir = _sim_config(tmp_path)
+    assert main(["simulate", "--config", simcfg]) == 0
+    path = datadir / name
+    lines = path.read_text().splitlines()
+    lines[row - 1] = line
+    path.write_text("\n".join(lines) + "\n")
+    outdir = tmp_path / "run"
+    assert main(["fit", "--config", _fit_config(tmp_path, datadir,
+                                                outdir)]) == 2
+    assert f"{name}: row {row}: expected 4 fields, got 2" \
+        in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def _refit_copy(fitted_run, tmp_path):
+    """Copies of the fitted run's inputs and fit artifacts, and a config
+    that points at them."""
+    _, _, datadir, outdir = fitted_run
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(datadir, data)
+    shutil.copytree(outdir, run, ignore=shutil.ignore_patterns(
+        "estimates_*", "diagnostics.csv"))
+    return data, run, _fit_config(tmp_path, data, run)
+
+
+@pytest.mark.parametrize("command,name", [
+    (["poststratify", "--grouping", "state"], "cells"),
+    (["poststratify", "--grouping", "state"], "states"),
+    (["diagnose"], "survey"), (["diagnose"], "cells")])
+def test_reporting_refuses_inputs_edited_after_fit(fitted_run, tmp_path,
+                                                   capsys, command, name):
+    data, run, cfg = _refit_copy(fitted_run, tmp_path)
+    path = data / f"{name}.csv"
+    lines = path.read_text().splitlines()
+    lines[1], lines[2] = lines[2], lines[1]  # same rows, other bytes
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command[0], "--config", cfg] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert f"{name} file {path} differs" in err
+    assert str(run / "manifest.json") in err
+    assert not list(run.glob("estimates_*")) and \
+        not (run / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["poststratify"], ["diagnose"]])
+def test_reporting_needs_manifest(fitted_run, tmp_path, capsys, command):
+    _, run, cfg = _refit_copy(fitted_run, tmp_path)
+    (run / "manifest.json").unlink()
+    assert main([command[0], "--config", cfg]) == 2
+    assert f"{run / 'manifest.json'} not found" in capsys.readouterr().err
+
+
+def test_import_loads_no_unused_scipy():
+    # the reporting commands import only scipy.special; the benchmark's
+    # wrappers need every mrpkit module that the CLI uses to be loaded
+    code = (
+        "import sys, mrpkit.cli, mrpkit.sbc\n"
+        "lazy = {'scipy.optimize', 'scipy.linalg', 'scipy.stats'}\n"
+        "print(sorted(lazy & sys.modules.keys()))\n"
+        "print(all(m in sys.modules for m in ('mrpkit.model', "
+        "'mrpkit.samplers', 'mrpkit.poststrat', 'mrpkit.diagnostics')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert out[:2] == ["[]", "True"]
 
 
 def test_diagnose_table(fitted_run):

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from mrpkit.data import (
     cell_position,
     compute_voter_weights,
     load_cells,
+    load_recorded,
     load_states,
     load_survey,
     write_cells,
@@ -75,6 +79,118 @@ def test_load_survey_deterministic(tmp_path):
     assert np.array_equal(s1.state_id, s2.state_id)
     assert np.array_equal(s1.income_cat, s2.income_cat)
     assert np.array_equal(s1.vote, s2.vote)
+
+
+def _brute_force_survey(text, states, use_eth):
+    """Per-row parse of survey text: (state, income, ethnicity, vote) of
+    the rows with a vote, and the number dropped."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    col = {name.strip(): j for j, name in enumerate(rows[0])}
+    kept, dropped = [], 0
+    for row in rows[1:]:
+        if row[col["vote"]].strip() == "":
+            dropped += 1
+            continue
+        label = row[col["state"]].strip()
+        kept.append((states.label_index[label] if states else int(label),
+                     int(row[col["income"]]),
+                     int(row[col["ethnicity"]]) if use_eth else 0,
+                     int(row[col["vote"]])))
+    return np.array(kept, dtype=int).reshape(-1, 4), dropped
+
+
+@pytest.mark.parametrize("with_states", [True, False])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_load_survey_equals_brute_force(tmp_path, with_states, newline):
+    rng = np.random.default_rng(4)
+    labels = ["S01", "New York, NY", 'The "Big" One', "S 04", "#5"]
+    states = StateTable(labels, np.arange(5.0), np.full(5, 0.5),
+                        [1, 1, 2, 2, 2])
+    n = 400
+    sid = rng.integers(1, 6, n)
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator=newline)
+    w.writerow(["vote", "state", "ethnicity", "income"])
+    for i in range(n):
+        s = (labels[sid[i] - 1] if with_states
+             else rng.choice(["{}", " {}", "+{}", "0{}", "{} "]).format(sid[i]))
+        vote = rng.choice(["0", "1", "1", "", " "])
+        w.writerow([vote, s, rng.integers(1, 5), f"{rng.integers(1, 6)}"])
+    text = buf.getvalue()
+    p = tmp_path / "survey.csv"
+    p.write_bytes(text.encode("utf-8"))
+    want, dropped = _brute_force_survey(text, states if with_states else None,
+                                        True)
+    assert dropped > 0
+    with pytest.warns(UserWarning, match=f"dropped {dropped} row"):
+        sv = load_survey(str(p), ModelSpec("M2", use_ethnicity=True),
+                         states if with_states else None)
+    got = np.column_stack([sv.state_id, sv.income_cat, sv.ethnicity, sv.vote])
+    assert sv.n_dropped == dropped
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["1,2,x", "1,6,1"], "row 5, column 'vote': cannot parse 'x' as integer"),
+    (["1,6,1", "1,2,x"], "row 5, column 'income': value 6 outside 1..5"),
+    (["1,2,1", "1,2", "9999999,2,1"], "row 6: expected 3 fields, got 2"),
+    (["1,2,1", "2,2,1", "9999999,2,1", "1,2"],
+     "row 7, column 'state': value 9999999 outside 1..1000000"),
+])
+def test_load_survey_names_first_bad_row(tmp_path, rows, message):
+    p = _write(tmp_path / "survey.csv",
+               "state,income,vote\n" + "1,1,1\n" * 3 + "\n".join(rows) + "\n")
+    with pytest.raises(DataError) as err:
+        load_survey(p, ModelSpec("M1"))
+    assert str(err.value) == f"{p}: {message}"
+
+
+def test_load_survey_drops_empty_vote_before_checks(tmp_path):
+    states = make_state_table(2)
+    p = _write(tmp_path / "survey.csv",
+               "state,income,vote\nS01,2,1\nZZ,9, \nS02,x,\n")
+    with pytest.warns(UserWarning, match="dropped 2"):
+        sv = load_survey(p, ModelSpec("M1"), states)
+    assert len(sv) == 1 and sv.n_dropped == 2
+
+
+def test_load_survey_quoted_label_with_comma(tmp_path):
+    states = StateTable(["S01", "Washington, DC"], [0.0, 1.0], [0.5, 0.5],
+                        [1, 1])
+    p = _write(tmp_path / "survey.csv",
+               'state,income,vote\n"Washington, DC",3,1\nS01,2,0\n')
+    sv = load_survey(p, ModelSpec("M1"), states)
+    assert sv.state_id.tolist() == [2, 1] and sv.income_cat.tolist() == [3, 2]
+
+
+@pytest.mark.parametrize("text,row", [
+    ("state,income,vote\n1,2,1\n\n1,3,0\n", 3),
+    ("state,income,vote\n1,2,1\n1,3,0\n\n", 4),
+    ("state,income,vote\r\n\r\n1,3,0\r\n", 2)])
+def test_load_survey_blank_line_is_an_error(tmp_path, text, row):
+    p = tmp_path / "survey.csv"
+    p.write_bytes(text.encode())
+    with pytest.raises(DataError,
+                       match=rf"survey.csv: row {row}: expected 3 fields, "
+                             r"got 0"):
+        load_survey(str(p), ModelSpec("M1"))
+
+
+@pytest.mark.parametrize("text", [
+    'state,income,vote\n"1\n",2,1\n', "state,income,vote\n1,2,1\n1,\x00,\n"])
+def test_load_survey_refuses_what_it_cannot_split(tmp_path, text):
+    # a line break inside quotes or a NUL is refused rather than misread
+    p = tmp_path / "survey.csv"
+    p.write_bytes(text.encode())
+    with pytest.raises(DataError, match="survey.csv: cannot be read one "
+                                        "record per line"):
+        load_survey(str(p), ModelSpec("M1"))
+
+
+def test_load_survey_header_only(tmp_path):
+    p = _write(tmp_path / "survey.csv", "state,income,vote\n")
+    sv = load_survey(p, ModelSpec("M1"))
+    assert len(sv) == 0 and sv.n_dropped == 0
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +351,26 @@ def test_voter_weights_rejects_bad_turnout():
 
 # ---------------------------------------------------------------------------
 # load_states and round trips
+
+@pytest.mark.parametrize("loader", ["cells", "states", "recorded"])
+def test_loaders_check_field_count(tmp_path, loader):
+    states = make_state_table(3)
+    if loader == "cells":
+        text = _cells_csv(3).replace("1,2,1000,0.6", "1,2", 1)
+        load = lambda p: load_cells(p, ModelSpec("M1"))  # noqa: E731
+        row, k = 3, 4
+    elif loader == "states":
+        text = "state,avg_income,prev_rep_share,region\nS01,1,0.5,1\nS02\n"
+        load, row, k = load_states, 3, 4
+    else:
+        text = "state,rep_share\nS01,0.5\nS02,0.5,\nS03,0.5\n"
+        load = lambda p: load_recorded(p, states)  # noqa: E731
+        row, k = 3, 2
+    p = _write(tmp_path / f"{loader}.csv", text)
+    with pytest.raises(DataError, match=rf"{loader}.csv: row {row}: expected "
+                                        rf"{k} fields, got"):
+        load(p)
+
 
 def test_load_states_standardizes(tmp_path):
     p = _write(tmp_path / "states.csv",

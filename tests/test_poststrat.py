@@ -7,6 +7,7 @@ from mrpkit.design import ModelSpec, build_layout
 from mrpkit.poststrat import (
     CellEstimates,
     calibrate_to_totals,
+    draw_summary,
     national_income_gap,
     poststratify,
     predict_cells,
@@ -23,6 +24,15 @@ def _estimates(cells, eta):
 
 # ---------------------------------------------------------------------------
 # predict_cells
+
+@pytest.mark.parametrize("shape", [(4000, 1000), (1, 3), (7, 1)])
+def test_draw_summary_equals_separate_quantiles(shape):
+    th = np.random.default_rng(1).random(shape)
+    s = draw_summary(th)
+    for key, p in (("q05", 0.05), ("q25", 0.25), ("q50", 0.50),
+                   ("q75", 0.75), ("q95", 0.95)):
+        assert np.array_equal(s[key], np.quantile(th, p, axis=0))
+
 
 def test_predict_cells_zero_params():
     states = make_state_table(3)
