@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import hashlib
 import json
@@ -158,6 +159,19 @@ def _check_manifest(cfg: RunConfig, names) -> None:
                             f"(sha256 recorded in {manifest})")
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield a temporary sibling of ``path`` to write; move it onto ``path``
+    when the block completes, and delete it when the block raises."""
+    tmp = path + ".tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -169,14 +183,24 @@ def cmd_fit(cfg: RunConfig) -> int:
     draws = sample_mcmc(model, chains=cfg.chains, warmup=cfg.warmup,
                         iters=cfg.iters, seed=cfg.seed)
     os.makedirs(cfg.outdir, exist_ok=True)
-    save_draws(draws, os.path.join(cfg.outdir, "draws.bin"),
-               os.path.join(cfg.outdir, "draws.json"))
-    with open(os.path.join(cfg.outdir, "diagnostics.txt"), "w",
-              encoding="utf-8") as f:
+
+    def out(name):
+        return os.path.join(cfg.outdir, name)
+
+    # no manifest while the artifacts change, so an interrupted fit leaves
+    # a run directory that poststratify and diagnose refuse
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(out("manifest.json"))
+    with _replacing(out("draws.bin")) as bin_tmp, \
+            _replacing(out("draws.json")) as json_tmp:
+        save_draws(draws, bin_tmp, json_tmp)
+    with _replacing(out("diagnostics.txt")) as tmp, \
+            open(tmp, "w", encoding="utf-8") as f:
         f.write(diagnostics_table(draws))
     diag = draws.diagnostics or {}
     converged = bool(diag.get("converged", False))
-    write_json(os.path.join(cfg.outdir, "diagnostics.json"), diag)
+    with _replacing(out("diagnostics.json")) as tmp:
+        write_json(tmp, diag)
     manifest = {
         "tool": f"mrpkit {__version__}",
         "config": asdict(cfg),
@@ -186,7 +210,8 @@ def cmd_fit(cfg: RunConfig) -> int:
         "n_draws": int(draws.n_draws),
         "n_params": int(draws.n_params),
     }
-    write_json(os.path.join(cfg.outdir, "manifest.json"), manifest)
+    with _replacing(out("manifest.json")) as tmp:
+        write_json(tmp, manifest)
     if not converged:
         print("warning: run stamped non-converged", file=sys.stderr)
         return EXIT_NONCONVERGED

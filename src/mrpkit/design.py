@@ -65,6 +65,7 @@ class ParameterLayout:
     n_states: int
     spec: ModelSpec
     _slices: dict[str, slice] = field(init=False, repr=False, compare=False)
+    n_params: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         slices, off = {}, 0
@@ -72,10 +73,7 @@ class ParameterLayout:
             slices[name] = slice(off, off + n)
             off += n
         object.__setattr__(self, "_slices", slices)
-
-    @property
-    def n_params(self) -> int:
-        return sum(n for _, n in self.blocks)
+        object.__setattr__(self, "n_params", off)
 
     def sl(self, name: str) -> slice:
         return self._slices[name]

@@ -54,9 +54,10 @@ def _softplus(x):
 
 
 def _exp_clip(x):
-    # exp with the argument clipped so extreme warmup excursions of the
-    # log-scale parameters stay finite instead of overflowing
-    return np.exp(np.clip(x, -300.0, 300.0))
+    # exp of a scalar with the argument clipped so extreme warmup excursions
+    # of the log-scale parameters stay finite instead of overflowing; x comes
+    # first in max so a NaN passes through
+    return np.exp(min(max(x, -300.0), 300.0))
 
 
 class LogDensityModel:
@@ -79,26 +80,36 @@ class LogDensityModel:
         self._idx = unit_index(self.layout, self.cells.state_id,
                                self.cells.income_cat, self.cells.ethnicity)
 
-    @property
-    def n_params(self) -> int:
-        return self.layout.n_params
+        # read once here, not on each of a fit's thousands of grad calls:
+        # the length, the rung flags, the vector blocks' slices and the
+        # scalar blocks' offsets
+        lay = self.layout
+        self.n_params = lay.n_params
+        self._varying_slope = spec.varying_slope
+        self._category_offsets = spec.category_offsets
+        self._beta, self._gamma, self._alpha = (
+            lay.sl(n) for n in ("beta", "gamma", "alpha"))
+        self._sa = lay.sl("sigma_alpha").start
+        if self._varying_slope:
+            self._slope = lay.sl("slope")
+            self._mu, self._ss, self._corr = (
+                lay.sl(n).start for n in ("slope_mu", "slope_sigma", "corr"))
+        if self._category_offsets:
+            self._cat, self._sc = lay.sl("cat"), lay.sl("sigma_cat").start
 
     # -- parameter unpacking -------------------------------------------------
 
     def _unpack(self, params):
-        lay = self.layout
-        p = {"beta": params[lay.sl("beta")],
-             "gamma": params[lay.sl("gamma")],
-             "alpha": params[lay.sl("alpha")],
-             "log_sa": params[lay.sl("sigma_alpha")][0]}
-        if self.spec.varying_slope:
-            p["slope"] = params[lay.sl("slope")]
-            p["slope_mu"] = params[lay.sl("slope_mu")][0]
-            p["log_ss"] = params[lay.sl("slope_sigma")][0]
-            p["zrho"] = params[lay.sl("corr")][0]
-        if self.spec.category_offsets:
-            p["cat"] = params[lay.sl("cat")]
-            p["log_sc"] = params[lay.sl("sigma_cat")][0]
+        p = {"beta": params[self._beta], "gamma": params[self._gamma],
+             "alpha": params[self._alpha], "log_sa": params[self._sa]}
+        if self._varying_slope:
+            p["slope"] = params[self._slope]
+            p["slope_mu"] = params[self._mu]
+            p["log_ss"] = params[self._ss]
+            p["zrho"] = params[self._corr]
+        if self._category_offsets:
+            p["cat"] = params[self._cat]
+            p["log_sc"] = params[self._sc]
         return p
 
     # -- density -------------------------------------------------------------
@@ -114,34 +125,34 @@ class LogDensityModel:
         params = self._check(params)
         p = self._unpack(params)
         eta = eta_kernel(params, self.layout, self._idx)
-        ll = float(np.sum(self.k_c * eta - self.n_c * _softplus(eta)))
+        ll = float((self.k_c * eta - self.n_c * _softplus(eta)).sum())
         return ll + self._log_hierarchy(p) + self._log_prior(p)
 
     def _log_hierarchy(self, p) -> float:
         S = self.layout.n_states
         sa = _exp_clip(p["log_sa"])
         u = p["alpha"] - self.W @ p["gamma"]
-        if not self.spec.varying_slope:
+        if not self._varying_slope:
             out = -0.5 * S * LOG_2PI - S * p["log_sa"] \
-                - 0.5 * float(np.sum(u * u)) / sa ** 2
+                - 0.5 * float((u * u).sum()) / sa ** 2
         else:
             ss = _exp_clip(p["log_ss"])
             rho = np.tanh(p["zrho"])
             c = 1.0 - rho ** 2
             a = u / sa
             b = (p["slope"] - p["slope_mu"]) / ss
-            quad = float(np.sum(a * a - 2.0 * rho * a * b + b * b))
+            quad = float((a * a - 2.0 * rho * a * b + b * b).sum())
             out = -S * (LOG_2PI + p["log_sa"] + p["log_ss"] + 0.5 * np.log(c)) \
                 - 0.5 * quad / c
-        if self.spec.category_offsets:
+        if self._category_offsets:
             sc = _exp_clip(p["log_sc"])
             out += -0.5 * N_INCOME * LOG_2PI - N_INCOME * p["log_sc"] \
-                - 0.5 * float(np.sum(p["cat"] ** 2)) / sc ** 2
+                - 0.5 * float((p["cat"] ** 2).sum()) / sc ** 2
         return out
 
     def _coef_vector(self, p):
         parts = [p["beta"], p["gamma"]]
-        if self.spec.varying_slope:
+        if self._varying_slope:
             parts.append(np.atleast_1d(p["slope_mu"]))
         return np.concatenate(parts)
 
@@ -150,21 +161,21 @@ class LogDensityModel:
             # flat on coefficients and on the scales; Jacobian of the log
             # reparameterization, plus flat-on-rho Jacobian for atanh(rho)
             out = p["log_sa"]
-            if self.spec.varying_slope:
+            if self._varying_slope:
                 rho = np.tanh(p["zrho"])
                 out += p["log_ss"] + np.log1p(-rho ** 2)
-            if self.spec.category_offsets:
+            if self._category_offsets:
                 out += p["log_sc"]
             return float(out)
         cs, ls = self.prior.coef_scale, self.prior.log_scale_sd
         coefs = self._coef_vector(p)
-        out = -0.5 * float(np.sum(coefs ** 2)) / cs ** 2 \
+        out = -0.5 * float((coefs ** 2).sum()) / cs ** 2 \
             - len(coefs) * (0.5 * LOG_2PI + np.log(cs))
         logs = [p["log_sa"]]
-        if self.spec.varying_slope:
+        if self._varying_slope:
             logs.append(p["log_ss"])
             out += -0.5 * p["zrho"] ** 2 - 0.5 * LOG_2PI
-        if self.spec.category_offsets:
+        if self._category_offsets:
             logs.append(p["log_sc"])
         for v in logs:
             out += -0.5 * v ** 2 / ls ** 2 - 0.5 * LOG_2PI - np.log(ls)
@@ -190,11 +201,11 @@ class LogDensityModel:
         # hierarchy
         sa = _exp_clip(p["log_sa"])
         u = p["alpha"] - self.W @ p["gamma"]
-        if not self.spec.varying_slope:
+        if not self._varying_slope:
             du = -u / sa ** 2
-            g[lay.sl("alpha")] += du
-            g[lay.sl("gamma")] += -self.W.T @ du
-            g[lay.sl("sigma_alpha")] += -S + float(np.sum(u * u)) / sa ** 2
+            g[self._alpha] += du
+            g[self._gamma] += -self.W.T @ du
+            g[self._sa] += -S + float((u * u).sum()) / sa ** 2
         else:
             ss = _exp_clip(p["log_ss"])
             rho = np.tanh(p["zrho"])
@@ -203,43 +214,40 @@ class LogDensityModel:
             b = (p["slope"] - p["slope_mu"]) / ss
             du = -(a - rho * b) / (c * sa)
             dv = -(b - rho * a) / (c * ss)
-            g[lay.sl("alpha")] += du
-            g[lay.sl("gamma")] += -self.W.T @ du
-            g[lay.sl("slope")] += dv
-            g[lay.sl("slope_mu")] += -dv.sum()
-            g[lay.sl("sigma_alpha")] += -S + float(np.sum(a * a - rho * a * b)) / c
-            g[lay.sl("slope_sigma")] += -S + float(np.sum(b * b - rho * a * b)) / c
+            g[self._alpha] += du
+            g[self._gamma] += -self.W.T @ du
+            g[self._slope] += dv
+            g[self._mu] += -dv.sum()
+            g[self._sa] += -S + float((a * a - rho * a * b).sum()) / c
+            g[self._ss] += -S + float((b * b - rho * a * b).sum()) / c
             quad = a * a - 2.0 * rho * a * b + b * b
-            dldrho = S * rho / c + float(np.sum(a * b * c - rho * quad)) / c ** 2
-            g[lay.sl("corr")] += dldrho * c  # chain rule through tanh
-        if self.spec.category_offsets:
+            dldrho = S * rho / c + float((a * b * c - rho * quad).sum()) / c ** 2
+            g[self._corr] += dldrho * c  # chain rule through tanh
+        if self._category_offsets:
             sc = _exp_clip(p["log_sc"])
-            g[lay.sl("cat")] += -p["cat"] / sc ** 2
-            g[lay.sl("sigma_cat")] += -N_INCOME \
-                + float(np.sum(p["cat"] ** 2)) / sc ** 2
+            g[self._cat] += -p["cat"] / sc ** 2
+            g[self._sc] += -N_INCOME + float((p["cat"] ** 2).sum()) / sc ** 2
 
         # prior
         if self.prior.mode == "uniform":
-            g[lay.sl("sigma_alpha")] += 1.0
-            if self.spec.varying_slope:
-                g[lay.sl("slope_sigma")] += 1.0
-                g[lay.sl("corr")] += -2.0 * np.tanh(p["zrho"])
-            if self.spec.category_offsets:
-                g[lay.sl("sigma_cat")] += 1.0
+            g[self._sa] += 1.0
+            if self._varying_slope:
+                g[self._ss] += 1.0
+                g[self._corr] += -2.0 * np.tanh(p["zrho"])
+            if self._category_offsets:
+                g[self._sc] += 1.0
         else:
             cs, ls = self.prior.coef_scale, self.prior.log_scale_sd
-            g_beta_full = g[lay.sl("beta")]
-            g_beta_full += -p["beta"] / cs ** 2
-            g[lay.sl("gamma")] += -p["gamma"] / cs ** 2
-            g[lay.sl("sigma_alpha")] += -p["log_sa"] / ls ** 2
-            if self.spec.varying_slope:
-                g[lay.sl("slope_mu")] += -p["slope_mu"] / cs ** 2
-                g[lay.sl("slope_sigma")] += -p["log_ss"] / ls ** 2
-                g[lay.sl("corr")] += -p["zrho"]
-            if self.spec.category_offsets:
-                g[lay.sl("sigma_cat")] += -p["log_sc"] / ls ** 2
+            g[self._beta] += -p["beta"] / cs ** 2
+            g[self._gamma] += -p["gamma"] / cs ** 2
+            g[self._sa] += -p["log_sa"] / ls ** 2
+            if self._varying_slope:
+                g[self._mu] += -p["slope_mu"] / cs ** 2
+                g[self._ss] += -p["log_ss"] / ls ** 2
+                g[self._corr] += -p["zrho"]
+            if self._category_offsets:
+                g[self._sc] += -p["log_sc"] / ls ** 2
         return g
-
 
     # -- initialization ------------------------------------------------------
 

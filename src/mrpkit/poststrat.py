@@ -8,6 +8,7 @@ never from aggregating summaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit, logit
@@ -44,8 +45,9 @@ class CellEstimates:
         if self.eta.shape[1] != len(self.cells):
             raise ValueError("eta width does not match number of cells")
 
-    @property
+    @cached_property
     def theta(self) -> np.ndarray:
+        # computed on first access; nothing assigns eta after construction
         return expit(self.eta)
 
     @property

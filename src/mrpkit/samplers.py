@@ -183,7 +183,7 @@ class _DiagMetric:
         return self.inv_mass * p
 
     def kinetic(self, p):
-        return 0.5 * float(np.sum(self.inv_mass * p * p))
+        return 0.5 * float((self.inv_mass * p * p).sum())
 
 
 class _DenseMetric:
@@ -219,7 +219,7 @@ def _leapfrog(q, p, grad, eps, metric, n_steps, grad_fn):
     for step in range(n_steps):
         q = q + eps * metric.velocity(p)
         grad = grad_fn(q)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             return q, p, grad, False
         if step < n_steps - 1:
             p = p + eps * grad
@@ -295,8 +295,8 @@ def _run_chain(model, warmup, iters, rng, q0, metric, adapt_mass,
         p0 = metric.sample(rng)
         h0 = -logp + metric.kinetic(p0)
         jitter = rng.uniform(0.8, 1.2)
-        n_steps = int(np.clip(round(jitter * traj_length / eps), 1,
-                              MAX_LEAPFROG_STEPS))
+        n_steps = min(max(round(jitter * traj_length / eps), 1),
+                      MAX_LEAPFROG_STEPS)
         q1, p1, grad1, ok = _leapfrog(q, p0, grad, eps, metric, n_steps, grad_fn)
         if ok:
             logp1 = logp_fn(q1)

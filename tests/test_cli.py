@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from mrpkit import cli
 from mrpkit.cli import main
 from mrpkit.data import load_states
 from mrpkit.synthetic import Scenario, write_scenario_files
@@ -326,6 +327,31 @@ def test_reporting_needs_manifest(fitted_run, tmp_path, capsys, command):
     (run / "manifest.json").unlink()
     assert main([command[0], "--config", cfg]) == 2
     assert f"{run / 'manifest.json'} not found" in capsys.readouterr().err
+
+
+def test_interrupted_refit_leaves_no_usable_run(fitted_run, tmp_path, capsys,
+                                                monkeypatch):
+    data, run, cfg = _refit_copy(fitted_run, tmp_path)
+    assert main(["poststratify", "--config", cfg]) == 0
+    kept = _sha(run / "estimates_state.csv")
+    old_draws = _sha(run / "draws.bin")
+    real = cli.write_json
+
+    def failing(path, obj):
+        if os.path.basename(path).startswith("diagnostics.json"):
+            raise OSError("disk full")
+        real(path, obj)
+
+    monkeypatch.setattr(cli, "write_json", failing)
+    refit = _fit_config(tmp_path, data, run, seed=8)
+    assert main(["fit", "--config", refit]) == 4
+    monkeypatch.undo()
+    assert _sha(run / "draws.bin") != old_draws  # new draws, old diagnostics
+    assert not list(run.glob("*.tmp"))
+    capsys.readouterr()
+    assert main(["poststratify", "--config", refit]) == 2
+    assert "run mrp fit first" in capsys.readouterr().err
+    assert _sha(run / "estimates_state.csv") == kept
 
 
 def test_import_loads_no_unused_scipy():

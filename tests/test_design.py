@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from mrpkit.design import (
     ModelSpec,
+    ParameterLayout,
     build_layout,
     eta_cells,
     income_code,
@@ -54,6 +57,18 @@ def test_layout_enumeration_oracle():
         if rung == "M3":
             expected += 5 + 1
         assert layout.n_params == expected
+
+
+def test_layout_n_params_is_block_sum_outside_eq_and_repr():
+    states = make_state_table(7, n_regions=3)
+    layout = build_layout(ModelSpec("M3", True), states)
+    assert layout.n_params == sum(n for _, n in layout.blocks)
+    assert "n_params" not in repr(layout)
+    field = {f.name: f for f in dataclasses.fields(ParameterLayout)}["n_params"]
+    assert not (field.init or field.compare or field.repr)
+    other = build_layout(ModelSpec("M3", True), states)
+    object.__setattr__(other, "n_params", -1)
+    assert other == layout and hash(other) == hash(layout)
 
 
 def test_layout_rejects_single_state():

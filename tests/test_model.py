@@ -3,9 +3,12 @@ import pytest
 from scipy import stats
 from scipy.special import expit
 
-from mrpkit.data import Dataset, Survey
-from mrpkit.design import ModelSpec, build_layout, predictor_matrix
-from mrpkit.model import LogDensityModel, PriorConfig
+import mrpkit.model
+from mrpkit.data import N_INCOME, Dataset, Survey
+from mrpkit.design import (ModelSpec, build_layout, eta_adjoint, eta_kernel,
+                           predictor_matrix)
+from mrpkit.model import LOG_2PI, LogDensityModel, PriorConfig
+from mrpkit.samplers import sample_mcmc
 
 from conftest import make_cell_table, make_state_table, make_survey
 
@@ -150,3 +153,200 @@ def test_initial_point_is_finite_and_stable():
 def test_prior_config_validation():
     with pytest.raises(ValueError):
         PriorConfig("flat")
+
+
+# ---------------------------------------------------------------------------
+# bit-exact reference: grad and log_posterior as they were before the slices,
+# rung flags and length were read once at build (layout lookups per call,
+# np.clip in the clipped exp, np.sum reductions)
+
+def _ref_exp_clip(x):
+    return np.exp(np.clip(x, -300.0, 300.0))
+
+
+def _ref_unpack(m, params):
+    lay = m.layout
+    p = {"beta": params[lay.sl("beta")],
+         "gamma": params[lay.sl("gamma")],
+         "alpha": params[lay.sl("alpha")],
+         "log_sa": params[lay.sl("sigma_alpha")][0]}
+    if m.spec.varying_slope:
+        p["slope"] = params[lay.sl("slope")]
+        p["slope_mu"] = params[lay.sl("slope_mu")][0]
+        p["log_ss"] = params[lay.sl("slope_sigma")][0]
+        p["zrho"] = params[lay.sl("corr")][0]
+    if m.spec.category_offsets:
+        p["cat"] = params[lay.sl("cat")]
+        p["log_sc"] = params[lay.sl("sigma_cat")][0]
+    return p
+
+
+def _ref_log_posterior(m, params):
+    p = _ref_unpack(m, params)
+    eta = eta_kernel(params, m.layout, m._idx)
+    ll = float(np.sum(m.k_c * eta - m.n_c * np.logaddexp(0.0, eta)))
+    # hierarchy
+    S = m.layout.n_states
+    sa = _ref_exp_clip(p["log_sa"])
+    u = p["alpha"] - m.W @ p["gamma"]
+    if not m.spec.varying_slope:
+        hier = -0.5 * S * LOG_2PI - S * p["log_sa"] \
+            - 0.5 * float(np.sum(u * u)) / sa ** 2
+    else:
+        ss = _ref_exp_clip(p["log_ss"])
+        rho = np.tanh(p["zrho"])
+        c = 1.0 - rho ** 2
+        a = u / sa
+        b = (p["slope"] - p["slope_mu"]) / ss
+        quad = float(np.sum(a * a - 2.0 * rho * a * b + b * b))
+        hier = -S * (LOG_2PI + p["log_sa"] + p["log_ss"] + 0.5 * np.log(c)) \
+            - 0.5 * quad / c
+    if m.spec.category_offsets:
+        sc = _ref_exp_clip(p["log_sc"])
+        hier += -0.5 * N_INCOME * LOG_2PI - N_INCOME * p["log_sc"] \
+            - 0.5 * float(np.sum(p["cat"] ** 2)) / sc ** 2
+    # prior
+    if m.prior.mode == "uniform":
+        out = p["log_sa"]
+        if m.spec.varying_slope:
+            rho = np.tanh(p["zrho"])
+            out += p["log_ss"] + np.log1p(-rho ** 2)
+        if m.spec.category_offsets:
+            out += p["log_sc"]
+        return ll + hier + float(out)
+    cs, ls = m.prior.coef_scale, m.prior.log_scale_sd
+    parts = [p["beta"], p["gamma"]]
+    if m.spec.varying_slope:
+        parts.append(np.atleast_1d(p["slope_mu"]))
+    coefs = np.concatenate(parts)
+    out = -0.5 * float(np.sum(coefs ** 2)) / cs ** 2 \
+        - len(coefs) * (0.5 * LOG_2PI + np.log(cs))
+    logs = [p["log_sa"]]
+    if m.spec.varying_slope:
+        logs.append(p["log_ss"])
+        out += -0.5 * p["zrho"] ** 2 - 0.5 * LOG_2PI
+    if m.spec.category_offsets:
+        logs.append(p["log_sc"])
+    for v in logs:
+        out += -0.5 * v ** 2 / ls ** 2 - 0.5 * LOG_2PI - np.log(ls)
+    return ll + hier + float(out)
+
+
+def _ref_grad(m, params):
+    p = _ref_unpack(m, params)
+    lay = m.layout
+    S = lay.n_states
+    eta = eta_kernel(params, lay, m._idx)
+    gl = m.k_c - m.n_c * expit(eta)
+    g = eta_adjoint(gl, lay, m._idx, np.zeros(lay.n_params))
+    sa = _ref_exp_clip(p["log_sa"])
+    u = p["alpha"] - m.W @ p["gamma"]
+    if not m.spec.varying_slope:
+        du = -u / sa ** 2
+        g[lay.sl("alpha")] += du
+        g[lay.sl("gamma")] += -m.W.T @ du
+        g[lay.sl("sigma_alpha")] += -S + float(np.sum(u * u)) / sa ** 2
+    else:
+        ss = _ref_exp_clip(p["log_ss"])
+        rho = np.tanh(p["zrho"])
+        c = 1.0 - rho ** 2
+        a = u / sa
+        b = (p["slope"] - p["slope_mu"]) / ss
+        du = -(a - rho * b) / (c * sa)
+        dv = -(b - rho * a) / (c * ss)
+        g[lay.sl("alpha")] += du
+        g[lay.sl("gamma")] += -m.W.T @ du
+        g[lay.sl("slope")] += dv
+        g[lay.sl("slope_mu")] += -dv.sum()
+        g[lay.sl("sigma_alpha")] += -S + float(np.sum(a * a - rho * a * b)) / c
+        g[lay.sl("slope_sigma")] += -S + float(np.sum(b * b - rho * a * b)) / c
+        quad = a * a - 2.0 * rho * a * b + b * b
+        dldrho = S * rho / c + float(np.sum(a * b * c - rho * quad)) / c ** 2
+        g[lay.sl("corr")] += dldrho * c
+    if m.spec.category_offsets:
+        sc = _ref_exp_clip(p["log_sc"])
+        g[lay.sl("cat")] += -p["cat"] / sc ** 2
+        g[lay.sl("sigma_cat")] += -N_INCOME \
+            + float(np.sum(p["cat"] ** 2)) / sc ** 2
+    if m.prior.mode == "uniform":
+        g[lay.sl("sigma_alpha")] += 1.0
+        if m.spec.varying_slope:
+            g[lay.sl("slope_sigma")] += 1.0
+            g[lay.sl("corr")] += -2.0 * np.tanh(p["zrho"])
+        if m.spec.category_offsets:
+            g[lay.sl("sigma_cat")] += 1.0
+    else:
+        cs, ls = m.prior.coef_scale, m.prior.log_scale_sd
+        g_beta_full = g[lay.sl("beta")]
+        g_beta_full += -p["beta"] / cs ** 2
+        g[lay.sl("gamma")] += -p["gamma"] / cs ** 2
+        g[lay.sl("sigma_alpha")] += -p["log_sa"] / ls ** 2
+        if m.spec.varying_slope:
+            g[lay.sl("slope_mu")] += -p["slope_mu"] / cs ** 2
+            g[lay.sl("slope_sigma")] += -p["log_ss"] / ls ** 2
+            g[lay.sl("corr")] += -p["zrho"]
+        if m.spec.category_offsets:
+            g[lay.sl("sigma_cat")] += -p["log_sc"] / ls ** 2
+    return g
+
+
+def _probe_points(model, rng):
+    """Random points at several scales, log-scale entries beyond +-300 (the
+    clip bound) and points holding a NaN."""
+    lay = model.layout
+    log_scales = [lay.sl(n).start for n in ("sigma_alpha", "slope_sigma",
+                                            "sigma_cat") if lay.has(n)]
+    P = model.n_params
+    pts = [s * rng.standard_normal(P) for s in (0.3, 1.0, 3.0, 50.0)]
+    for v in (301.0, -301.0, 750.0, -750.0, np.inf, -np.inf):
+        x = rng.standard_normal(P)
+        x[log_scales] = v
+        pts.append(x)
+    for k in (lay.sl("alpha").start, log_scales[0], log_scales[-1]):
+        x = rng.standard_normal(P)
+        x[k] = np.nan
+        pts.append(x)
+    return pts
+
+
+@pytest.mark.parametrize("rung", ["M1", "M2", "M3"])
+@pytest.mark.parametrize("mode", ["weak", "uniform"])
+@pytest.mark.parametrize("use_eth", [False, True])
+def test_grad_and_log_posterior_bit_exact_to_reference(rung, mode, use_eth):
+    model = _toy_model(S=4, rung=rung, prior=PriorConfig(mode),
+                       use_eth=use_eth, seed=5)
+    rng = np.random.default_rng(13)
+    n_nan = 0
+    with np.errstate(all="ignore"):
+        for x in _probe_points(model, rng):
+            g, want_g = model.grad(x), _ref_grad(model, x)
+            lp, want_lp = model.log_posterior(x), _ref_log_posterior(model, x)
+            assert np.array_equal(g, want_g, equal_nan=True)
+            assert np.array_equal(lp, want_lp, equal_nan=True)
+            n_nan += bool(np.isnan(g).any())
+    assert n_nan >= 3  # the NaN points reach the comparison as NaN
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("init", ["map", "diffuse"])
+def test_every_gradient_is_one_grad_call(monkeypatch, init):
+    # the benchmark counts gradients by wrapping LogDensityModel.grad on the
+    # class; each likelihood adjoint must come from exactly one such call
+    grads = _count_calls(monkeypatch, LogDensityModel, "grad")
+    adjoints = _count_calls(monkeypatch, mrpkit.model, "eta_adjoint")
+    model = _toy_model(S=3, rung="M2", seed=4)
+    sample_mcmc(model, chains=2, warmup=40, iters=30, seed=3, init=init)
+    assert grads[0] > 100
+    assert grads[0] == adjoints[0]

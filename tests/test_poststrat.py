@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
+from mrpkit import poststrat
 from mrpkit.data import CellTable
 from mrpkit.design import ModelSpec, build_layout
 from mrpkit.poststrat import (
@@ -100,6 +101,22 @@ def test_poststratify_two_cell_identity():
     est = _estimates(cells, [[-40.0, 40.0]])  # theta 0 and 1 to 1e-17
     agg = poststratify(est, cells, ())
     assert abs(agg.theta[0, 0] - 0.75) < 1e-12
+
+
+def test_theta_computed_once_for_two_poststratify_calls(monkeypatch):
+    cells = make_cell_table(4, seed=3)
+    eta = np.random.default_rng(4).standard_normal((6, len(cells)))
+    est = _estimates(cells, eta)
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return expit(x)
+
+    monkeypatch.setattr(poststrat, "expit", counted)
+    poststratify(est, cells, ("state",))
+    poststratify(est, cells, ("income",))
+    assert calls == [(6, len(cells))]
 
 
 def test_poststratify_constant_theta_invariance():
