@@ -12,7 +12,12 @@ logs and the intercept/slope correlation as its atanh.
 
 ``eta_kernel`` is the one computation of a unit's linear predictor (logit)
 and ``eta_adjoint`` its gradient; ``eta_cells``, ``LogDensityModel`` and
-``poststrat.predict_cells`` all call them.
+``poststrat.predict_cells`` all call them. ``expit`` and ``logit`` map
+between the linear predictor and the probability scale for ``poststrat``
+and ``synthetic`` in numpy alone, so that the reporting commands never
+import scipy. ``expit`` is scipy.special.expit's formula, and equals it up
+to the last digits of ``np.exp``; ``LogDensityModel.grad`` still calls
+scipy's own so that fixed-seed draws keep their bytes.
 """
 
 from __future__ import annotations
@@ -131,12 +136,19 @@ def income_code(income_cat) -> np.ndarray:
 @dataclass(frozen=True)
 class UnitIndex:
     """0-based maps from units (cells or respondents) into the parameter
-    blocks; built and range-checked once by ``unit_index``."""
+    blocks, with the blocks' slices; built and range-checked once by
+    ``unit_index`` so that ``eta_kernel`` and ``eta_adjoint`` look nothing
+    up per call."""
 
     s0: np.ndarray           # state
     z: np.ndarray            # centered income code
     i0: np.ndarray           # income category
     e0: np.ndarray | None    # ethnicity; None when the model omits it
+    n_states: int
+    alpha: slice
+    beta: slice
+    slope: slice | None      # None unless the rung has varying slopes
+    cat: slice | None        # None unless the rung has category offsets
 
 
 def unit_index(layout: ParameterLayout, state_id, income_cat,
@@ -154,57 +166,78 @@ def unit_index(layout: ParameterLayout, state_id, income_cat,
         if np.any((e < 1) | (e > N_ETH)):
             raise ValueError("ethnicity category outside declared cross")
         e0 = e - 1
-    return UnitIndex(s0, income_code(i), i - 1, e0)
+    sl = layout._slices.get
+    return UnitIndex(s0, income_code(i), i - 1, e0, layout.n_states,
+                     sl("alpha"), sl("beta"), sl("slope"), sl("cat"))
 
 
-def eta_kernel(params: np.ndarray, layout: ParameterLayout,
-               idx: UnitIndex) -> np.ndarray:
+def eta_kernel(params: np.ndarray, idx: UnitIndex) -> np.ndarray:
     """eta = alpha[s] + (beta_inc + slope[s]) * z + eth[e] + cat[i] per unit
     (terms as the rung has them), for params (P,) -> (C,) or draws (D, P) ->
-    (D, C). The terms pass through one scratch array in the same order for
-    either shape, so a batch equals per-draw calls bit for bit."""
-    spec = layout.spec
-    beta = params[..., layout.sl("beta")]
-    eta = np.take(params[..., layout.sl("alpha")], idx.s0, axis=-1,
-                  mode="clip")
+    (D, C), with ``idx`` from ``unit_index`` on the params' layout. The
+    terms pass through one scratch array in the same order for either
+    shape, so a batch equals per-draw calls bit for bit."""
+    beta = params[..., idx.beta]
+    eta = params[..., idx.alpha].take(idx.s0, axis=-1, mode="clip")
     tmp = np.empty_like(eta)
-    if spec.varying_slope:
-        np.take(params[..., layout.sl("slope")], idx.s0, axis=-1, out=tmp,
-                mode="clip")
+    if idx.slope is not None:
+        params[..., idx.slope].take(idx.s0, axis=-1, out=tmp, mode="clip")
         tmp += beta[..., :1]
         tmp *= idx.z
     else:
         np.multiply(beta[..., :1], idx.z, out=tmp)
     eta += tmp
-    if spec.use_ethnicity:
+    if idx.e0 is not None:
         eth_coef = np.concatenate(  # category 1 is baseline
             [np.zeros(beta.shape[:-1] + (1,)), beta[..., 1:]], axis=-1)
-        eta += np.take(eth_coef, idx.e0, axis=-1, out=tmp, mode="clip")
-    if spec.category_offsets:
-        eta += np.take(params[..., layout.sl("cat")], idx.i0, axis=-1,
-                       out=tmp, mode="clip")
+        eta += eth_coef.take(idx.e0, axis=-1, out=tmp, mode="clip")
+    if idx.cat is not None:
+        eta += params[..., idx.cat].take(idx.i0, axis=-1, out=tmp,
+                                         mode="clip")
     return eta
 
 
-def eta_adjoint(dl_deta: np.ndarray, layout: ParameterLayout, idx: UnitIndex,
+def eta_adjoint(dl_deta: np.ndarray, idx: UnitIndex,
                 g: np.ndarray) -> np.ndarray:
     """Add the gradient of a function of eta_kernel(params) to ``g`` (P,),
     given its derivative with respect to each unit's eta."""
-    spec = layout.spec
-    S = layout.n_states
-    g[layout.sl("alpha")] += np.bincount(idx.s0, weights=dl_deta, minlength=S)
+    g[idx.alpha] += np.bincount(idx.s0, weights=dl_deta,
+                                minlength=idx.n_states)
     glz = dl_deta * idx.z
-    g_beta = g[layout.sl("beta")]
+    g_beta = g[idx.beta]
     g_beta[0] += glz.sum()
-    if spec.use_ethnicity:
+    if idx.e0 is not None:
         by_eth = np.bincount(idx.e0, weights=dl_deta, minlength=N_ETH)
         g_beta[1:] += by_eth[1:]
-    if spec.varying_slope:
-        g[layout.sl("slope")] += np.bincount(idx.s0, weights=glz, minlength=S)
-    if spec.category_offsets:
-        g[layout.sl("cat")] += np.bincount(idx.i0, weights=dl_deta,
-                                           minlength=N_INCOME)
+    if idx.slope is not None:
+        g[idx.slope] += np.bincount(idx.s0, weights=glz,
+                                    minlength=idx.n_states)
+    if idx.cat is not None:
+        g[idx.cat] += np.bincount(idx.i0, weights=dl_deta, minlength=N_INCOME)
     return g
+
+
+def expit(x):
+    """Logistic function 1/(1+exp(-x)) elementwise, for a scalar or an
+    array; 0 without a warning where exp(-x) overflows, NaN for NaN."""
+    out = np.array(x, dtype=float)  # a fresh array that is then reused
+    np.negative(out, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out[()]
+
+
+def logit(p):
+    """log(p/(1-p)) elementwise, by scipy.special.logit's formula, which
+    keeps the precision near p = 1/2; -inf at 0, inf at 1, NaN for NaN."""
+    p = np.asarray(p, dtype=float)
+    s = 2.0 * (p - 0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where((p < 0.3) | (p > 0.65), np.log(p / (1.0 - p)),
+                       np.log1p(s) - np.log1p(-s))
+    return out[()]
 
 
 def eta_cells(params: np.ndarray, layout: ParameterLayout,
@@ -215,7 +248,7 @@ def eta_cells(params: np.ndarray, layout: ParameterLayout,
     if params.shape[-1] != layout.n_params:
         raise ValueError(f"parameter vector length {params.shape[-1]} != "
                          f"layout length {layout.n_params}")
-    return eta_kernel(params, layout,
+    return eta_kernel(params,
                       unit_index(layout, state_id, income_cat, ethnicity))
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from mrpkit.data import N_INCOME, Dataset
 from mrpkit.design import (
@@ -69,6 +68,11 @@ class LogDensityModel:
     def __init__(self, dataset: Dataset, spec: ModelSpec,
                  prior: PriorConfig | None = None,
                  layout: ParameterLayout | None = None):
+        # scipy's expit, not design.expit: the two differ in the last digits
+        # of exp, and the gradient's rounding decides every draw's bytes
+        from scipy.special import expit
+
+        self._expit = expit
         self.spec = spec
         self.prior = prior or PriorConfig()
         self.layout = layout or build_layout(spec, dataset.states)
@@ -124,7 +128,7 @@ class LogDensityModel:
     def log_posterior(self, params) -> float:
         params = self._check(params)
         p = self._unpack(params)
-        eta = eta_kernel(params, self.layout, self._idx)
+        eta = eta_kernel(params, self._idx)
         ll = float((self.k_c * eta - self.n_c * _softplus(eta)).sum())
         return ll + self._log_hierarchy(p) + self._log_prior(p)
 
@@ -190,13 +194,12 @@ class LogDensityModel:
     def grad(self, params) -> np.ndarray:
         params = self._check(params)
         p = self._unpack(params)
-        lay = self.layout
-        S = lay.n_states
+        S = self.layout.n_states
 
         # likelihood
-        eta = eta_kernel(params, lay, self._idx)
-        gl = self.k_c - self.n_c * expit(eta)            # d loglik / d eta_c
-        g = eta_adjoint(gl, lay, self._idx, np.zeros(self.n_params))
+        eta = eta_kernel(params, self._idx)
+        gl = self.k_c - self.n_c * self._expit(eta)      # d loglik / d eta_c
+        g = eta_adjoint(gl, self._idx, np.zeros(self.n_params))
 
         # hierarchy
         sa = _exp_clip(p["log_sa"])

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit, logit
 
 from mrpkit.data import N_INCOME, CellTable, StateTable
-from mrpkit.design import ParameterLayout, eta_cells, income_code
+from mrpkit.design import (ParameterLayout, eta_cells, expit, income_code,
+                           logit)
 from mrpkit.samplers import PosteriorDraws
 
 CALIBRATE_TOL = 1e-10     # |state aggregate - recorded share| to stop at

@@ -12,7 +12,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from mrpkit.data import (
     N_INCOME,
@@ -25,7 +24,8 @@ from mrpkit.data import (
     write_states,
     write_survey,
 )
-from mrpkit.design import ModelSpec, build_layout, eta_cells, predictor_matrix
+from mrpkit.design import (ModelSpec, build_layout, eta_cells, expit,
+                           predictor_matrix)
 
 DEFAULT_INCOME_PROFILE = (0.15, 0.22, 0.26, 0.22, 0.15)
 DEFAULT_TURNOUT = (0.45, 0.52, 0.58, 0.64, 0.70)

@@ -354,18 +354,41 @@ def test_interrupted_refit_leaves_no_usable_run(fitted_run, tmp_path, capsys,
     assert _sha(run / "estimates_state.csv") == kept
 
 
-def test_import_loads_no_unused_scipy():
-    # the reporting commands import only scipy.special; the benchmark's
-    # wrappers need every mrpkit module that the CLI uses to be loaded
-    code = (
-        "import sys, mrpkit.cli, mrpkit.sbc\n"
-        "lazy = {'scipy.optimize', 'scipy.linalg', 'scipy.stats'}\n"
-        "print(sorted(lazy & sys.modules.keys()))\n"
-        "print(all(m in sys.modules for m in ('mrpkit.model', "
+_PRINT_SCIPY = ("print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy')))\n")
+
+
+def _run_python(code):
+    """Standard output lines of a fresh interpreter running ``code``."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True).stdout.splitlines()
+
+
+def test_import_loads_no_scipy():
+    # only mrp fit needs scipy; the benchmark's wrappers need every mrpkit
+    # module that the CLI uses to be loaded
+    out = _run_python(
+        "import sys, mrpkit, mrpkit.cli, mrpkit.sbc\n" + _PRINT_SCIPY
+        + "print(all(m in sys.modules for m in ('mrpkit.model', "
         "'mrpkit.samplers', 'mrpkit.poststrat', 'mrpkit.diagnostics')))\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout.split("\n")
-    assert out[:2] == ["[]", "True"]
+    assert out == ["[]", "True"]
+
+
+def test_reporting_commands_load_no_scipy(fitted_run, tmp_path):
+    data, run, cfg = _refit_copy(fitted_run, tmp_path)
+    simcfg, _ = _sim_config(tmp_path)
+    rec = _recorded(tmp_path / "rec.csv", load_states(data / "states.csv"))
+    argvs = [["simulate", "--config", simcfg],
+             ["poststratify", "--config", cfg, "--grouping", "state",
+              "--recorded", rec],
+             ["poststratify", "--config", cfg, "--grouping", "income",
+              "--export-draws"],
+             ["diagnose", "--config", cfg]]
+    out = _run_python("import sys\nfrom mrpkit.cli import main\n"
+                      f"print([main(a) for a in {argvs!r}])\n" + _PRINT_SCIPY)
+    assert out[-2:] == ["[0, 0, 0, 0]", "[]"]  # after the commands' output
+    assert (run / "estimates_income_draws.csv").exists()
+    assert (run / "diagnostics.csv").exists()
 
 
 def test_diagnose_table(fitted_run):

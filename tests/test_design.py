@@ -1,17 +1,24 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
+import scipy.special
 
+from mrpkit.data import N_ETH, N_INCOME
 from mrpkit.design import (
     ModelSpec,
     ParameterLayout,
     build_layout,
+    eta_adjoint,
     eta_cells,
+    eta_kernel,
+    expit,
     income_code,
     linear_predictor,
+    logit,
     predictor_matrix,
+    unit_index,
 )
 
 from conftest import make_cell_table, make_state_table
@@ -114,7 +121,7 @@ def test_linear_predictor_zero_params():
     layout = build_layout(ModelSpec("M1"), states)
     eta = linear_predictor(np.zeros(layout.n_params), (3, 4), layout)
     assert eta == 0.0
-    assert expit(eta) == 0.5
+    assert scipy.special.expit(eta) == 0.5
 
 
 def test_linear_predictor_arithmetic():
@@ -178,3 +185,130 @@ def test_eta_cells_batch_equals_rows(rung, use_eth):
     rows = np.stack([eta_cells(d, layout, *keys) for d in draws])
     assert batch.shape == (6, len(cells))
     assert np.array_equal(batch, rows)
+
+
+# The kernel and adjoint as they were when they looked their blocks up in the
+# layout on every call; the cached slices on UnitIndex must not change a bit.
+
+def _eta_kernel_before(params, layout, idx):
+    spec = layout.spec
+    beta = params[..., layout.sl("beta")]
+    eta = np.take(params[..., layout.sl("alpha")], idx.s0, axis=-1,
+                  mode="clip")
+    tmp = np.empty_like(eta)
+    if spec.varying_slope:
+        np.take(params[..., layout.sl("slope")], idx.s0, axis=-1, out=tmp,
+                mode="clip")
+        tmp += beta[..., :1]
+        tmp *= idx.z
+    else:
+        np.multiply(beta[..., :1], idx.z, out=tmp)
+    eta += tmp
+    if spec.use_ethnicity:
+        eth_coef = np.concatenate(
+            [np.zeros(beta.shape[:-1] + (1,)), beta[..., 1:]], axis=-1)
+        eta += np.take(eth_coef, idx.e0, axis=-1, out=tmp, mode="clip")
+    if spec.category_offsets:
+        eta += np.take(params[..., layout.sl("cat")], idx.i0, axis=-1,
+                       out=tmp, mode="clip")
+    return eta
+
+
+def _eta_adjoint_before(dl_deta, layout, idx, g):
+    spec = layout.spec
+    S = layout.n_states
+    g[layout.sl("alpha")] += np.bincount(idx.s0, weights=dl_deta, minlength=S)
+    glz = dl_deta * idx.z
+    g_beta = g[layout.sl("beta")]
+    g_beta[0] += glz.sum()
+    if spec.use_ethnicity:
+        by_eth = np.bincount(idx.e0, weights=dl_deta, minlength=N_ETH)
+        g_beta[1:] += by_eth[1:]
+    if spec.varying_slope:
+        g[layout.sl("slope")] += np.bincount(idx.s0, weights=glz, minlength=S)
+    if spec.category_offsets:
+        g[layout.sl("cat")] += np.bincount(idx.i0, weights=dl_deta,
+                                           minlength=N_INCOME)
+    return g
+
+
+@pytest.mark.parametrize("use_eth", [False, True])
+@pytest.mark.parametrize("rung", ["M1", "M2", "M3"])
+def test_eta_kernel_and_adjoint_bit_identical_to_layout_lookups(rung,
+                                                                use_eth):
+    states = make_state_table(9, n_regions=3, seed=2)
+    layout = build_layout(ModelSpec(rung, use_ethnicity=use_eth), states)
+    cells = make_cell_table(9, use_ethnicity=use_eth, seed=2)
+    idx = unit_index(layout, cells.state_id, cells.income_cat,
+                     cells.ethnicity)
+    rng = np.random.default_rng(11)
+    draws = rng.standard_normal((5, layout.n_params))
+    for params in (draws[0], draws):  # (P,) and (D, P)
+        assert np.array_equal(eta_kernel(params, idx),
+                              _eta_kernel_before(params, layout, idx))
+    dl_deta = rng.standard_normal(len(cells))
+    g0 = rng.standard_normal(layout.n_params)
+    assert np.array_equal(eta_adjoint(dl_deta, idx, g0.copy()),
+                          _eta_adjoint_before(dl_deta, layout, idx, g0.copy()))
+
+
+# ---------------------------------------------------------------------------
+# expit and logit, with scipy.special as the oracle
+
+@pytest.mark.parametrize("sd", [10.0, 300.0])
+def test_expit_within_2_ulp_of_scipy(sd):
+    x = sd * np.random.default_rng(0).standard_normal(1_000_000)
+    want = scipy.special.expit(x)
+    ulps = np.abs(expit(x) - want) / np.spacing(np.abs(want))
+    # Both compute 1/(1+exp(-x)); their exps may differ in the last bit. Where
+    # exp(-x) lies in [2**53, 2**54) its spacing is 2, so 1 + exp(-x) is a
+    # tie, and one ulp of exp can round the two sums 4 apart: up to 4 ulp
+    # of the result there.
+    tie = (-x >= 53 * np.log(2)) & (-x < 54 * np.log(2))
+    assert ulps[~tie].max() <= 2
+    assert ulps[tie].max(initial=0.0) <= 4
+
+
+def test_expit_exact_and_quiet_at_extremes():
+    x = np.array([709.0, -709.0, 710.0, -710.0, 750.0, -750.0, np.inf,
+                  -np.inf, 0.0, -0.0, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expit(x)
+        singles = [expit(v) for v in x]
+    want = scipy.special.expit(x)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(singles, want, equal_nan=True)
+    assert got[5] == 0.0 and got[6] == 1.0 and got[8] == 0.5
+
+
+def test_expit_scalars_0d_and_lists():
+    for x in (0.3, np.float64(-2.5), np.array(1.25), 7):
+        got = expit(x)
+        assert np.ndim(got) == 0
+        assert got == scipy.special.expit(x)
+    got = expit([[-1.0, 0.0], [2.0, 40.0]])
+    assert got.shape == (2, 2)
+    assert np.array_equal(got, scipy.special.expit([[-1.0, 0.0],
+                                                    [2.0, 40.0]]))
+    x = np.array([1.0, -3.0])
+    expit(x)
+    assert np.array_equal(x, [1.0, -3.0])  # the input is left alone
+
+
+def test_logit_within_1e15_of_scipy():
+    p = np.concatenate([np.random.default_rng(1).uniform(size=1_000_000),
+                        np.linspace(0.0, 1.0, 100_001)[1:-1]])
+    assert np.max(np.abs(logit(p) - scipy.special.logit(p))) <= 1e-15
+
+
+def test_logit_exact_and_quiet_at_edges():
+    p = np.array([0.0, 1.0, np.nan, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logit(p)
+        singles = [logit(v) for v in p]
+    want = scipy.special.logit(p)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(singles, want, equal_nan=True)
+    assert np.ndim(singles[0]) == 0 and got[0] == -np.inf and got[1] == np.inf

@@ -183,7 +183,7 @@ def _ref_unpack(m, params):
 
 def _ref_log_posterior(m, params):
     p = _ref_unpack(m, params)
-    eta = eta_kernel(params, m.layout, m._idx)
+    eta = eta_kernel(params, m._idx)
     ll = float(np.sum(m.k_c * eta - m.n_c * np.logaddexp(0.0, eta)))
     # hierarchy
     S = m.layout.n_states
@@ -236,9 +236,9 @@ def _ref_grad(m, params):
     p = _ref_unpack(m, params)
     lay = m.layout
     S = lay.n_states
-    eta = eta_kernel(params, lay, m._idx)
+    eta = eta_kernel(params, m._idx)
     gl = m.k_c - m.n_c * expit(eta)
-    g = eta_adjoint(gl, lay, m._idx, np.zeros(lay.n_params))
+    g = eta_adjoint(gl, m._idx, np.zeros(lay.n_params))
     sa = _ref_exp_clip(p["log_sa"])
     u = p["alpha"] - m.W @ p["gamma"]
     if not m.spec.varying_slope:

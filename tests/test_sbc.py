@@ -1,9 +1,12 @@
 import numpy as np
+import pytest
+from scipy.stats import chi2
 
 from mrpkit.design import build_layout, predictor_matrix
 from mrpkit.model import PriorConfig
 from mrpkit.sbc import (
     _simulate_fixed_design,
+    chi2_sf,
     draw_from_prior,
     run_sbc,
     uniformity_pvalues,
@@ -44,6 +47,13 @@ def test_uniformity_pvalues_detects_nonuniform():
     p = uniformity_pvalues(ranks)
     assert p[0] > 0.01 and p[1] > 0.01
     assert p[2] < 1e-10
+
+
+@pytest.mark.parametrize("df", range(1, 21))
+def test_chi2_sf_matches_scipy(df):
+    for x in np.linspace(0.0, 200.0, 2001):
+        got, want = chi2_sf(float(x), df), chi2.sf(x, df)
+        assert abs(got - want) <= max(1e-12 * want, 1e-300), (x, got, want)
 
 
 def test_run_sbc_smoke():
