@@ -32,7 +32,7 @@ model = LogDensityModel(dataset, scenario.spec)
 draws = sample_mcmc(model, chains=2, warmup=400, iters=600, seed=2)
 est = predict_cells(draws, cells, layout)
 
-by_state = poststratify(est, cells, ("state",))
+by_state = poststratify(est, ("state",))
 s = by_state.summary()
 print("state aggregates before calibration:")
 for g, key in enumerate(by_state.keys):
@@ -43,14 +43,14 @@ for g, key in enumerate(by_state.keys):
 rng = np.random.default_rng(3)
 recorded = np.clip(s["mean"] + 0.05 * rng.standard_normal(len(by_state.keys)),
                    0.05, 0.95)
-cal, deltas = calibrate_to_totals(est, cells, recorded)
-cal_state = poststratify(cal, cells, ("state",))
+cal, deltas = calibrate_to_totals(est, recorded)
+cal_state = poststratify(cal, ("state",))
 print("\nafter calibration (aggregate must equal the recorded share):")
 for g, key in enumerate(cal_state.keys):
     print(f"  {states.labels[key[0] - 1]}  recorded {recorded[g]:.3f}  "
           f"calibrated {cal_state.theta[:, g].mean():.3f}  "
           f"mean shift {deltas[:, g].mean():+.3f}")
 
-national = poststratify(cal, cells, ())
+national = poststratify(cal, ())
 print(f"\nnational two-party share after calibration: "
       f"{national.theta.mean():.3f}")

@@ -43,7 +43,7 @@ print(f"sampling: rhat max {np.nanmax(diag['rhat']):.3f}, "
       f"{diag['divergent']} divergences")
 
 est = predict_cells(draws, cells, layout)
-slopes = state_income_slopes(est, cells, states)
+slopes = state_income_slopes(est, states)
 gap = slopes["gap"]["mean"]
 
 order = np.argsort(states.avg_income)
@@ -59,4 +59,4 @@ slope_means = draws.draws[:, layout.sl("beta").start] \
 corr = np.corrcoef(slope_means.mean(axis=1), states.avg_income)[0, 1]
 print(f"\ncorrelation of estimated income slope with state income: {corr:+.3f}")
 print(f"national rich-poor gap: "
-      f"{national_income_gap(est, cells).mean():.3f} (true 0.20)")
+      f"{national_income_gap(est).mean():.3f} (true 0.20)")

@@ -12,14 +12,13 @@ from mrpkit.data import (
     Dataset,
     StateTable,
     Survey,
-    compute_voter_weights,
     load_cells,
     load_dataset,
     load_states,
     load_survey,
 )
-from mrpkit.design import ModelSpec, ParameterLayout, build_layout, linear_predictor
-from mrpkit.model import LogDensityModel, PriorConfig, grad_log_posterior, log_posterior
+from mrpkit.design import ModelSpec, ParameterLayout, build_layout
+from mrpkit.model import LogDensityModel, PriorConfig
 from mrpkit.samplers import (
     ConvergenceError,
     PosteriorDraws,

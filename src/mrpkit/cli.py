@@ -78,6 +78,9 @@ RUN_KEYS = {
     ("output", "dir"): "outdir",
     ("report", "exclude_ak_hi_dc"): "exclude_ak_hi_dc",
 }
+# least value of each sampler key; R-hat, and with it the convergence
+# stamp of a CLI fit, needs two chains
+SAMPLER_MIN = {"chains": 2, "warmup": 0, "iters": 1, "seed": 0}
 # the keys simulate reads ("s" is S)
 SCENARIO_KEYS = {("scenario", k) for k in ("kind", "s", "n", "seed", "outdir",
                                            "rung")}
@@ -105,20 +108,33 @@ def _read_ini(path) -> configparser.ConfigParser:
 
 
 def read_config(path) -> RunConfig:
+    """RunConfig from an INI file; DataError naming the file, section and
+    key of a value that does not convert or is out of range."""
     cp = _read_ini(path)
     cfg = RunConfig()
     for (section, key), name in RUN_KEYS.items():
         if not cp.has_option(section, key):
             continue
         value, default = cp.get(section, key), getattr(cfg, name)
-        if isinstance(default, bool):
-            value = cp.getboolean(section, key)
-        elif isinstance(default, tuple):  # comma-separated; empty: default
-            value = tuple(p.strip() for p in value.split(",")) if value \
-                else default
-        else:
-            value = type(default)(value)
+        try:
+            if isinstance(default, bool):
+                value = cp.getboolean(section, key)
+            elif isinstance(default, tuple):  # comma-separated; empty: default
+                value = tuple(p.strip() for p in value.split(",")) if value \
+                    else default
+            else:
+                value = type(default)(value)
+        except ValueError:
+            raise DataError(f"{path}: [{section}] {key} = {value!r} is not "
+                            f"a valid {type(default).__name__}") from None
+        if name in SAMPLER_MIN and value < SAMPLER_MIN[name]:
+            raise DataError(f"{path}: [{section}] {key} = {value} is below "
+                            f"its minimum {SAMPLER_MIN[name]}")
         setattr(cfg, name, value)
+    try:
+        cfg.prior  # PriorConfig checks the prior's values
+    except ValueError as err:
+        raise DataError(f"{path}: [prior] {err}") from None
     return cfg
 
 
@@ -229,9 +245,9 @@ def cmd_poststratify(cfg: RunConfig, grouping: str, recorded_path=None,
     est = predict_cells(draws, cells, layout)
     if recorded_path:
         rec = load_recorded(recorded_path, states)
-        est, _ = calibrate_to_totals(est, cells, rec)
+        est, _ = calibrate_to_totals(est, rec)
     dims = tuple(d.strip() for d in grouping.split(",")) if grouping else ()
-    agg = poststratify(est, cells, dims, states)
+    agg = poststratify(est, dims, states)
     name = "_".join(dims) if dims else "national"
     out = os.path.join(cfg.outdir, f"estimates_{name}.csv")
     s = agg.summary()
@@ -263,9 +279,9 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     draws = load_draws(os.path.join(cfg.outdir, "draws.bin"),
                        os.path.join(cfg.outdir, "draws.json"), layout)
     est = predict_cells(draws, dataset.cells, layout)
-    agg = poststratify(est, dataset.cells, ("state", "income"))
+    agg = poststratify(est, ("state", "income"))
     s = agg.summary()
-    by_state = poststratify(est, dataset.cells, ("state",))
+    by_state = poststratify(est, ("state",))
     state_mean = by_state.summary()["mean"]  # keys are states 1..S in order
 
     # respondents and Republican votes per (state, income), over ethnicity

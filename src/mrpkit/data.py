@@ -15,7 +15,6 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -25,31 +24,6 @@ N_ETH = 4
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
-
-
-@dataclass(frozen=True)
-class SurveyResponse:
-    """One respondent: state index (1-based), income category 1..5,
-    ethnicity 1..4 (0 when the dimension is inactive), and binary vote
-    (1 = Republican candidate, 0 = Democratic candidate)."""
-
-    state_id: int
-    income_cat: int
-    ethnicity: int
-    vote: int
-
-
-@dataclass(frozen=True)
-class PoststratCell:
-    """One population cell with its adult count, turnout rate, and the
-    derived voter count n_voters = n_adults * turnout_rate."""
-
-    state_id: int
-    income_cat: int
-    ethnicity: int
-    n_adults: float
-    turnout_rate: float
-    n_voters: float
 
 
 @dataclass
@@ -89,8 +63,11 @@ class StateTable:
             raise DataError(f"unknown state label {label!r}") from None
 
 
-class Survey(Sequence):
-    """Validated survey responses stored as parallel arrays."""
+class Survey:
+    """Validated survey responses stored as parallel arrays, one entry per
+    respondent: state index (1-based), income category 1..5, ethnicity 1..4
+    (0 when the dimension is inactive), and binary vote (1 = Republican
+    candidate, 0 = Democratic candidate)."""
 
     def __init__(self, state_id, income_cat, ethnicity, vote, n_dropped: int = 0):
         self.state_id = np.asarray(state_id, dtype=int)
@@ -101,12 +78,6 @@ class Survey(Sequence):
 
     def __len__(self) -> int:
         return len(self.vote)
-
-    def __getitem__(self, i) -> SurveyResponse:
-        return SurveyResponse(
-            int(self.state_id[i]), int(self.income_cat[i]),
-            int(self.ethnicity[i]), int(self.vote[i]),
-        )
 
 
 def cell_position(state_id, income_cat, ethnicity,
@@ -129,18 +100,16 @@ def cell_cross(n_states: int, use_ethnicity: bool):
 
 class CellTable:
     """Full cross of poststratification cells in canonical order
-    (state, income, ethnicity)."""
+    (state, income, ethnicity), with each cell's adult count, turnout rate
+    and voter count n_voters = n_adults * turnout_rate."""
 
-    def __init__(self, state_id, income_cat, ethnicity, n_adults, turnout_rate,
-                 n_voters=None):
+    def __init__(self, state_id, income_cat, ethnicity, n_adults, turnout_rate):
         self.state_id = np.asarray(state_id, dtype=int)
         self.income_cat = np.asarray(income_cat, dtype=int)
         self.ethnicity = np.asarray(ethnicity, dtype=int)
         self.n_adults = np.asarray(n_adults, dtype=float)
         self.turnout_rate = np.asarray(turnout_rate, dtype=float)
-        if n_voters is None:
-            n_voters = self.n_adults * self.turnout_rate
-        self.n_voters = np.asarray(n_voters, dtype=float)
+        self.n_voters = self.n_adults * self.turnout_rate
 
     def __len__(self) -> int:
         return len(self.state_id)
@@ -152,13 +121,6 @@ class CellTable:
     @property
     def n_states(self) -> int:
         return int(self.state_id.max())
-
-    def row(self, i: int) -> PoststratCell:
-        return PoststratCell(
-            int(self.state_id[i]), int(self.income_cat[i]), int(self.ethnicity[i]),
-            float(self.n_adults[i]), float(self.turnout_rate[i]),
-            float(self.n_voters[i]),
-        )
 
 
 @dataclass
@@ -456,60 +418,43 @@ def load_dataset(survey_path, cells_path, states_path, spec) -> Dataset:
     return Dataset(survey, cells, states)
 
 
-def compute_voter_weights(cells: CellTable) -> CellTable:
-    """Recompute n_voters = n_adults * turnout_rate, leaving all else as is."""
-    if np.any(cells.n_adults < 0):
-        raise DataError("negative n_adults")
-    if np.any((cells.turnout_rate < 0) | (cells.turnout_rate > 1)):
-        raise DataError("turnout_rate outside [0, 1]")
-    return CellTable(cells.state_id, cells.income_cat, cells.ethnicity,
-                     cells.n_adults, cells.turnout_rate)
-
-
 # ---------------------------------------------------------------------------
 # writers (round-trip support and synthetic-data output)
 
-def _state_label(states: StateTable | None, idx: int) -> str:
-    return states.labels[idx - 1] if states is not None else str(idx)
+def key_columns(table, states: StateTable | None, use_ethnicity: bool):
+    """Header and columns of a survey's or cell table's keys: state label
+    (the index when ``states`` is None), income and, if used, ethnicity.
+    Each label is one shared string; each code a cached small int."""
+    labels = states.labels if states is not None else \
+        [str(i) for i in range(1, int(table.state_id.max(initial=0)) + 1)]
+    header = ["state", "income"] + (["ethnicity"] if use_ethnicity else [])
+    cols = [np.array(labels, dtype=object)[table.state_id - 1],
+            table.income_cat.tolist()]
+    if use_ethnicity:
+        cols.append(table.ethnicity.tolist())
+    return header, cols
+
+
+def _write_csv(path, header, cols) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(zip(*cols))
 
 
 def write_states(states: StateTable, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["state", "avg_income", "prev_rep_share", "region"])
-        for i, label in enumerate(states.labels):
-            w.writerow([label, repr(float(states.avg_income[i])),
-                        repr(float(states.prev_rep_share[i])),
-                        int(states.region_id[i])])
+    _write_csv(path, ["state", "avg_income", "prev_rep_share", "region"],
+               [states.labels, states.avg_income.tolist(),
+                states.prev_rep_share.tolist(), states.region_id.tolist()])
 
 
 def write_survey(survey: Survey, path, states: StateTable | None = None) -> None:
     use_eth = bool(survey.ethnicity.max() > 0) if len(survey) else False
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        cols = ["state", "income"] + (["ethnicity"] if use_eth else []) + ["vote"]
-        w.writerow(cols)
-        for i in range(len(survey)):
-            row = [_state_label(states, int(survey.state_id[i])),
-                   int(survey.income_cat[i])]
-            if use_eth:
-                row.append(int(survey.ethnicity[i]))
-            row.append(int(survey.vote[i]))
-            w.writerow(row)
+    header, cols = key_columns(survey, states, use_eth)
+    _write_csv(path, header + ["vote"], cols + [survey.vote.tolist()])
 
 
 def write_cells(cells: CellTable, path, states: StateTable | None = None) -> None:
-    use_eth = cells.use_ethnicity
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        cols = ["state", "income"] + (["ethnicity"] if use_eth else []) \
-            + ["n_adults", "turnout_rate"]
-        w.writerow(cols)
-        for i in range(len(cells)):
-            row = [_state_label(states, int(cells.state_id[i])),
-                   int(cells.income_cat[i])]
-            if use_eth:
-                row.append(int(cells.ethnicity[i]))
-            row += [repr(float(cells.n_adults[i])),
-                    repr(float(cells.turnout_rate[i]))]
-            w.writerow(row)
+    header, cols = key_columns(cells, states, cells.use_ethnicity)
+    _write_csv(path, header + ["n_adults", "turnout_rate"],
+               cols + [cells.n_adults.tolist(), cells.turnout_rate.tolist()])

@@ -251,16 +251,3 @@ def eta_cells(params: np.ndarray, layout: ParameterLayout,
     return eta_kernel(params,
                       unit_index(layout, state_id, income_cat, ethnicity))
 
-
-def linear_predictor(params: np.ndarray, unit, layout: ParameterLayout) -> float:
-    """Linear predictor eta for one unit.
-
-    ``unit`` is anything with state_id / income_cat / ethnicity attributes
-    (SurveyResponse, PoststratCell) or a (state, income[, ethnicity]) tuple.
-    """
-    if hasattr(unit, "state_id"):
-        s, i, e = unit.state_id, unit.income_cat, unit.ethnicity
-    else:
-        s, i = unit[0], unit[1]
-        e = unit[2] if len(unit) > 2 else 0
-    return float(eta_cells(params, layout, [s], [i], [e])[0])

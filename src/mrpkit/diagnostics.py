@@ -81,22 +81,6 @@ def compute_diagnostics(draws) -> dict:
     return {"rhat": rhat, "ess": ess}
 
 
-def summarize(draws, probs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> dict:
-    """Quantile summary per block (falls back to one 'params' block)."""
-    blocks = (draws.layout.block_dict() if draws.layout is not None
-              else {"params": [0, draws.n_params]})
-    out = {}
-    for name, (off, length) in blocks.items():
-        sub = draws.draws[:, off:off + length]
-        out[name] = {
-            "mean": sub.mean(axis=0),
-            "sd": sub.std(axis=0, ddof=1) if draws.n_draws > 1
-            else np.zeros(length),
-            "quantiles": {p: np.quantile(sub, p, axis=0) for p in probs},
-        }
-    return out
-
-
 def diagnostics_table(draws) -> str:
     """Human-readable per-parameter convergence table."""
     diag = draws.diagnostics or {}

@@ -45,6 +45,11 @@ class PriorConfig:
     def __post_init__(self):
         if self.mode not in ("weak", "uniform"):
             raise ValueError(f"unknown prior mode {self.mode!r}")
+        for name in ("coef_scale", "log_scale_sd"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value!r}")
 
 
 def _softplus(x):
@@ -303,10 +308,3 @@ class LogDensityModel:
                     max(float(np.std(p["cat"])), 1e-2))
         return x
 
-
-def log_posterior(params, model: LogDensityModel) -> float:
-    return model.log_posterior(params)
-
-
-def grad_log_posterior(params, model: LogDensityModel) -> np.ndarray:
-    return model.grad(params)

@@ -83,6 +83,7 @@ def predict_cells(draws: PosteriorDraws, cells: CellTable,
 
 
 def _group_labels(cells: CellTable, dims, states: StateTable | None):
+    """(C, len(dims)) array of each cell's value in each grouping dimension."""
     cols = []
     for dim in dims:
         if dim == "state":
@@ -100,25 +101,22 @@ def _group_labels(cells: CellTable, dims, states: StateTable | None):
             cols.append(states.region_id[cells.state_id - 1])
         else:
             raise ValueError(f"unknown grouping dimension {dim!r}")
-    if not cols:
-        return [()] * len(cells)
-    return list(zip(*[np.asarray(c).tolist() for c in cols]))
+    return np.array(cols, dtype=int).reshape(len(cols), len(cells)).T
 
 
-def poststratify(cell_estimates: CellEstimates, cells: CellTable | None = None,
-                 grouping=(), states: StateTable | None = None,
-                 ) -> AggregateEstimates:
+def poststratify(cell_estimates: CellEstimates, grouping=(),
+                 states: StateTable | None = None) -> AggregateEstimates:
     """N-weighted average of cell probabilities within each group, per draw.
 
     ``grouping`` is a sequence of dimension names out of
     {state, income, ethnicity, region}; empty means a single national group.
+    Groups are in sorted key order.
     """
-    cells = cells if cells is not None else cell_estimates.cells
+    cells = cell_estimates.cells
     dims = tuple(grouping)
-    labels = _group_labels(cells, dims, states)
-    keys = sorted(set(labels))
-    key_pos = {k: i for i, k in enumerate(keys)}
-    gidx = np.array([key_pos[l] for l in labels])
+    keys, gidx = np.unique(_group_labels(cells, dims, states), axis=0,
+                           return_inverse=True)
+    keys = [tuple(k) for k in keys.tolist()]
     G = len(keys)
 
     N = cells.n_voters
@@ -136,24 +134,20 @@ def poststratify(cell_estimates: CellEstimates, cells: CellTable | None = None,
     return AggregateEstimates(dims, keys, num / weight, weight)
 
 
-def calibrate_to_totals(cell_estimates: CellEstimates, cells: CellTable | None,
-                        recorded: dict | np.ndarray):
+def calibrate_to_totals(cell_estimates: CellEstimates, recorded):
     """Shift each state's cell linear predictors so the state aggregate
     matches its recorded two-party Republican share, separately per draw.
 
-    ``recorded`` maps state index (1-based) to share, or is an array indexed
-    by state; shares must be strictly inside (0, 1). Returns
-    (calibrated CellEstimates, deltas of shape (D, S)).
+    ``recorded`` is an array of shares indexed by state (as ``load_recorded``
+    returns), each strictly inside (0, 1). Returns (calibrated
+    CellEstimates, deltas of shape (D, S)).
     """
-    cells = cells if cells is not None else cell_estimates.cells
+    cells = cell_estimates.cells
     S = cells.n_states
-    if isinstance(recorded, dict):
-        rec = np.array([recorded[s] for s in range(1, S + 1)], dtype=float)
-    else:
-        rec = np.asarray(recorded, dtype=float)
-        if len(rec) != S:
-            raise ValueError(f"recorded totals cover {len(rec)} states, "
-                             f"expected {S}")
+    rec = np.asarray(recorded, dtype=float)
+    if len(rec) != S:
+        raise ValueError(f"recorded totals cover {len(rec)} states, "
+                         f"expected {S}")
     if np.any((rec <= 0.0) | (rec >= 1.0)):
         bad = int(np.argmax((rec <= 0.0) | (rec >= 1.0))) + 1
         raise ValueError(f"recorded share for state {bad} is not strictly "
@@ -192,17 +186,16 @@ def calibrate_to_totals(cell_estimates: CellEstimates, cells: CellTable | None,
 
 
 def state_income_slopes(cell_estimates: CellEstimates,
-                        cells: CellTable | None = None,
                         states: StateTable | None = None) -> dict:
     """Per-state income-voting slope on the probability scale.
 
     Primary measure: top income category minus bottom. Secondary: the
     least-squares slope of the state's income curve over codes -2..2.
     """
-    cells = cells if cells is not None else cell_estimates.cells
-    agg = poststratify(cell_estimates, cells, ("state", "income"))
+    agg = poststratify(cell_estimates, ("state", "income"))
     # keys are the full (state, income) cross in sorted order
-    curve = agg.theta.reshape(-1, cells.n_states, N_INCOME)  # (D, S, I)
+    S = cell_estimates.cells.n_states
+    curve = agg.theta.reshape(-1, S, N_INCOME)  # (D, S, I)
 
     gap = curve[:, :, N_INCOME - 1] - curve[:, :, 0]  # (D, S)
     z = income_code(np.arange(1, N_INCOME + 1))
@@ -215,9 +208,7 @@ def state_income_slopes(cell_estimates: CellEstimates,
     return out
 
 
-def national_income_gap(cell_estimates: CellEstimates,
-                        cells: CellTable | None = None) -> np.ndarray:
+def national_income_gap(cell_estimates: CellEstimates) -> np.ndarray:
     """Draws of the national top-minus-bottom income category gap."""
-    cells = cells if cells is not None else cell_estimates.cells
-    agg = poststratify(cell_estimates, cells, ("income",))  # incomes 1..5
+    agg = poststratify(cell_estimates, ("income",))  # incomes 1..5
     return agg.theta[:, -1] - agg.theta[:, 0]

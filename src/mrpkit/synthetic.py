@@ -8,6 +8,7 @@ reproduce the rich-state/poor-state slope pattern.
 
 from __future__ import annotations
 
+import csv
 import os
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from mrpkit.data import (
     StateTable,
     Survey,
     cell_cross,
+    key_columns,
     write_cells,
     write_states,
     write_survey,
@@ -254,15 +256,9 @@ def write_scenario_files(scenario: Scenario, outdir) -> dict:
     write_states(states, paths["states"])
     write_survey(dataset.survey, paths["survey"], states)
     write_cells(cells, paths["cells"], states)
-    with open(paths["truth"], "w", encoding="utf-8") as f:
-        cols = ["state", "income"] + (["ethnicity"] if scenario.use_ethnicity
-                                      else []) + ["theta"]
-        f.write(",".join(cols) + "\n")
-        for i in range(len(cells)):
-            row = [states.labels[cells.state_id[i] - 1],
-                   str(int(cells.income_cat[i]))]
-            if scenario.use_ethnicity:
-                row.append(str(int(cells.ethnicity[i])))
-            row.append(repr(float(theta[i])))
-            f.write(",".join(row) + "\n")
+    header, cols = key_columns(cells, states, scenario.use_ethnicity)
+    with open(paths["truth"], "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header + ["theta"])
+        w.writerows(zip(*cols, theta.tolist()))
     return paths

@@ -78,14 +78,14 @@ def test_criterion_2_poststrat_identity():
     theta = est.theta
     N = cells.n_voters
 
-    by_state = poststratify(est, cells, ("state",))
+    by_state = poststratify(est, ("state",))
     err_id = 0.0
     for g, key in enumerate(by_state.keys):
         m = cells.state_id == key[0]
         want = (theta[:, m] * N[m]).sum(axis=1) / N[m].sum()
         err_id = max(err_id, float(np.max(np.abs(by_state.theta[:, g] - want))))
 
-    national = poststratify(est, cells, ())
+    national = poststratify(est, ())
     recomposed = (by_state.theta * by_state.weight).sum(axis=1) \
         / by_state.weight.sum()
     err_nest = float(np.max(np.abs(national.theta[:, 0] - recomposed)))
@@ -224,7 +224,7 @@ def redblue_reps():
             "corr_slope": float(np.corrcoef(est_slope, true_slope)[0, 1]),
             "corr_income": float(np.corrcoef(est_slope,
                                              states.avg_income)[0, 1]),
-            "national_gap": float(national_income_gap(est, cells).mean()),
+            "national_gap": float(national_income_gap(est).mean()),
             "covered": int(np.sum((tt >= lo) & (tt <= hi))),
             "n_cells": len(cells),
             "median_sd": float(np.median(theta.std(axis=0, ddof=1))),
@@ -272,10 +272,10 @@ def test_criterion_9_calibration_idempotence():
     rng = np.random.default_rng(43)
     est = CellEstimates(cells, rng.standard_normal((50, len(cells))))
     recorded = rng.uniform(0.3, 0.7, 12)
-    cal, _ = calibrate_to_totals(est, cells, recorded)
-    agg = poststratify(cal, cells, ("state",))
+    cal, _ = calibrate_to_totals(est, recorded)
+    agg = poststratify(cal, ("state",))
     match_err = float(np.max(np.abs(agg.theta - recorded[None, :])))
-    _, deltas2 = calibrate_to_totals(cal, cells, recorded)
+    _, deltas2 = calibrate_to_totals(cal, recorded)
     resid = float(np.max(np.abs(deltas2)))
     _report(9, match_err <= 1e-8 and resid < 1e-10,
             f"post-calibration mismatch {match_err:.2e}, "

@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -128,6 +129,24 @@ def test_fit_config_rejects_unknown_keys(tmp_path, capsys, text, named):
     assert main(["fit", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "typo.ini" in err and named in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("chains", "two"), ("chains", 0), ("chains", 1), ("warmup", -5),
+    ("iters", 0), ("seed", -1), ("coef_scale", -1), ("coef_scale", "nan"),
+])
+def test_fit_config_rejects_bad_values(fitted_run, tmp_path, capsys, key,
+                                       value):
+    # each is refused before any data is read: no fit, no run directory
+    _, _, datadir, _ = fitted_run
+    outdir = tmp_path / "run"
+    setting = ({"extra": f"[prior]\ncoef_scale = {value}\n"}
+               if key == "coef_scale" else {key: value})
+    cfg = _fit_config(tmp_path, datadir, outdir, **setting)
+    assert main(["fit", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert os.path.basename(cfg) in err and key in err
+    assert not outdir.exists()
 
 
 def test_simulate_config_rejects_unknown_key(tmp_path, capsys):
@@ -372,6 +391,22 @@ def test_import_loads_no_scipy():
         + "print(all(m in sys.modules for m in ('mrpkit.model', "
         "'mrpkit.samplers', 'mrpkit.poststrat', 'mrpkit.diagnostics')))\n")
     assert out == ["[]", "True"]
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/instrument.py resolves every TARGETS name in each benchmark
+    # run, traced or not, so a name deleted here fails every operation
+    import mrpkit.sbc  # noqa: F401
+    import mrpkit.synthetic  # noqa: F401
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "instrument.py")
+    spec = importlib.util.spec_from_file_location("perfbench_instrument",
+                                                  path)
+    instrument = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instrument)
+    for module, attr, _, _ in instrument.TARGETS:
+        owner, leaf = instrument._resolve(module, attr)
+        assert callable(getattr(owner, leaf, None)), f"{module}.{attr}"
 
 
 def test_reporting_commands_load_no_scipy(fitted_run, tmp_path):

@@ -12,7 +12,6 @@ from mrpkit.data import (
     Survey,
     cell_cross,
     cell_position,
-    compute_voter_weights,
     load_cells,
     load_recorded,
     load_states,
@@ -40,8 +39,9 @@ def test_load_survey_direct_parse(tmp_path):
     sv = load_survey(p, ModelSpec("M1"))
     assert len(sv) == 2
     assert sv.n_dropped == 0
-    assert sv[0].state_id == 5 and sv[0].income_cat == 4 and sv[0].vote == 1
-    assert sv[1].state_id == 5 and sv[1].income_cat == 1 and sv[1].vote == 0
+    assert sv.state_id[0] == 5 and sv.income_cat[0] == 4 and sv.vote[0] == 1
+    assert sv.state_id[1] == 5 and sv.income_cat[1] == 1 and sv.vote[1] == 0
+    assert sv.ethnicity.tolist() == [0, 0]
 
 
 def test_load_survey_drops_empty_vote_with_warning(tmp_path):
@@ -307,10 +307,11 @@ def test_cell_counts_brute_force(use_eth):
     n_c, k_c = Dataset(survey, cells, make_state_table(S)).cell_counts()
     for c in range(len(cells)):
         key = (cells.state_id[c], cells.income_cat[c], cells.ethnicity[c])
-        rows = [r for r in survey
-                if (r.state_id, r.income_cat, r.ethnicity) == key]
-        assert n_c[c] == len(rows)
-        assert k_c[c] == sum(r.vote for r in rows)
+        votes = [v for s, i, e, v in zip(survey.state_id, survey.income_cat,
+                                         survey.ethnicity, survey.vote)
+                 if (s, i, e) == key]
+        assert n_c[c] == len(votes)
+        assert k_c[c] == sum(votes)
     assert n_c.sum() == n
 
 
@@ -321,32 +322,23 @@ def test_cell_counts_empty_cells():
 
 
 # ---------------------------------------------------------------------------
-# compute_voter_weights
+# CellTable.n_voters
 
 def test_voter_weights_product():
     cells = CellTable([1, 1, 1, 1, 1], [1, 2, 3, 4, 5],
                       [0] * 5, [1000, 0, 500, 200, 10],
                       [0.6, 0.9, 0.5, 1.0, 0.0])
-    out = compute_voter_weights(cells)
-    assert out.n_voters[0] == 600.0
-    assert out.n_voters[1] == 0.0
+    assert cells.n_voters[0] == 600.0
+    assert cells.n_voters[1] == 0.0
 
 
 def test_voter_weights_brute_force_oracle():
     cells = make_cell_table(50)
     assert len(cells) == 250
-    out = compute_voter_weights(cells)
-    # independent row-by-row recomputation
-    for i in range(len(cells)):
-        r = cells.row(i)
-        assert out.n_voters[i] == r.n_adults * r.turnout_rate
-
-
-def test_voter_weights_rejects_bad_turnout():
-    cells = CellTable([1], [1], [0], [10.0], [1.0])
-    cells.turnout_rate = np.array([1.5])
-    with pytest.raises(DataError):
-        compute_voter_weights(cells)
+    # independent cell-by-cell recomputation
+    for na, tr, nv in zip(cells.n_adults.tolist(), cells.turnout_rate.tolist(),
+                          cells.n_voters.tolist()):
+        assert nv == na * tr
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from mrpkit.design import (
     eta_kernel,
     expit,
     income_code,
-    linear_predictor,
     logit,
     predictor_matrix,
     unit_index,
@@ -119,9 +118,10 @@ def test_income_code_centered():
 def test_linear_predictor_zero_params():
     states = make_state_table(8)
     layout = build_layout(ModelSpec("M1"), states)
-    eta = linear_predictor(np.zeros(layout.n_params), (3, 4), layout)
-    assert eta == 0.0
-    assert scipy.special.expit(eta) == 0.5
+    eta = eta_cells(np.zeros(layout.n_params), layout, [3], [4], [0])
+    assert eta.shape == (1,)
+    assert eta[0] == 0.0
+    assert scipy.special.expit(eta[0]) == 0.5
 
 
 def test_linear_predictor_arithmetic():
@@ -130,8 +130,9 @@ def test_linear_predictor_arithmetic():
     params = np.zeros(layout.n_params)
     params[layout.sl("alpha")][6] = 0.3   # alpha_7
     params[layout.sl("beta")][0] = 0.1
-    eta = linear_predictor(params, (7, 5), layout)
-    assert abs(eta - 0.5) < 1e-15  # 0.3 + 0.1 * 2
+    eta = eta_cells(params, layout, [7], [5], [0])
+    assert eta.shape == (1,)
+    assert abs(eta[0] - 0.5) < 1e-15  # 0.3 + 0.1 * 2
 
 
 def test_eta_cells_matches_naive_oracle():

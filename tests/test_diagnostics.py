@@ -6,8 +6,8 @@ from mrpkit.diagnostics import (
     diagnostics_table,
     split_ess,
     split_rhat,
-    summarize,
 )
+from mrpkit.poststrat import draw_summary
 from mrpkit.samplers import PosteriorDraws
 
 
@@ -80,9 +80,9 @@ def test_summarize_and_table():
     draws = PosteriorDraws(rng.standard_normal((200, 2)),
                            np.repeat([0, 1], 100))
     draws.diagnostics = compute_diagnostics(draws)
-    s = summarize(draws)
-    assert "params" in s
-    assert s["params"]["mean"].shape == (2,)
+    s = draw_summary(draws.draws)
+    assert s["mean"].shape == (2,)
+    assert np.array_equal(s["mean"], draws.draws.mean(axis=0))
     table = diagnostics_table(draws)
     assert "rhat" in table
     assert "params[1]" in table

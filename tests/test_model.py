@@ -153,6 +153,10 @@ def test_initial_point_is_finite_and_stable():
 def test_prior_config_validation():
     with pytest.raises(ValueError):
         PriorConfig("flat")
+    for name in ("coef_scale", "log_scale_sd"):
+        for bad in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                PriorConfig(**{name: bad})
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_predict_cells_cross_mismatch():
 def test_poststratify_two_cell_identity():
     cells = CellTable([1, 1], [1, 2], [0, 0], [1.0, 3.0], [1.0, 1.0])
     est = _estimates(cells, [[-40.0, 40.0]])  # theta 0 and 1 to 1e-17
-    agg = poststratify(est, cells, ())
+    agg = poststratify(est, ())
     assert abs(agg.theta[0, 0] - 0.75) < 1e-12
 
 
@@ -114,15 +114,15 @@ def test_theta_computed_once_for_two_poststratify_calls(monkeypatch):
         return expit(x)
 
     monkeypatch.setattr(poststrat, "expit", counted)
-    poststratify(est, cells, ("state",))
-    poststratify(est, cells, ("income",))
+    poststratify(est, ("state",))
+    poststratify(est, ("income",))
     assert calls == [(6, len(cells))]
 
 
 def test_poststratify_constant_theta_invariance():
     cells = make_cell_table(4, seed=2)
     eta = np.full((3, len(cells)), logit(0.37))
-    agg = poststratify(_estimates(cells, eta), cells, ("state",))
+    agg = poststratify(_estimates(cells, eta), ("state",))
     assert np.allclose(agg.theta, 0.37, atol=1e-12)
 
 
@@ -131,7 +131,7 @@ def test_poststratify_brute_force_oracle():
     rng = np.random.default_rng(8)
     eta = rng.standard_normal((5, 250))
     est = _estimates(cells, eta)
-    agg = poststratify(est, cells, ("state",))
+    agg = poststratify(est, ("state",))
     theta = expit(eta)
     # spreadsheet-style recomputation with a dict of running sums
     for d in range(5):
@@ -148,11 +148,21 @@ def test_poststratify_nesting_consistency():
     cells = make_cell_table(20, seed=3)
     rng = np.random.default_rng(4)
     est = _estimates(cells, rng.standard_normal((4, len(cells))))
-    national = poststratify(est, cells, ())
-    by_state = poststratify(est, cells, ("state",))
+    national = poststratify(est, ())
+    by_state = poststratify(est, ("state",))
     recomposed = (by_state.theta * by_state.weight).sum(axis=1) \
         / by_state.weight.sum()
     assert np.max(np.abs(national.theta[:, 0] - recomposed)) < 1e-12
+
+
+def test_poststratify_keys_sorted_int_tuples():
+    cells = make_cell_table(3, use_ethnicity=True)
+    est = _estimates(cells, np.zeros((1, len(cells))))
+    agg = poststratify(est, ("ethnicity", "state"))
+    assert agg.keys == sorted(set(zip(cells.ethnicity.tolist(),
+                                      cells.state_id.tolist())))
+    assert all(type(v) is int for key in agg.keys for v in key)
+    assert poststratify(est, ()).keys == [()]
 
 
 def test_poststratify_region_grouping():
@@ -160,7 +170,7 @@ def test_poststratify_region_grouping():
     cells = make_cell_table(8)
     rng = np.random.default_rng(5)
     est = _estimates(cells, rng.standard_normal((2, len(cells))))
-    agg = poststratify(est, cells, ("region",), states)
+    agg = poststratify(est, ("region",), states)
     assert agg.n_groups == 4
 
 
@@ -169,16 +179,16 @@ def test_poststratify_zero_weight_group():
                       [10.0, 10.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5])
     est = _estimates(cells, np.zeros((1, 4)))
     with pytest.raises(ValueError, match="zero total voter weight"):
-        poststratify(est, cells, ("state",))
+        poststratify(est, ("state",))
 
 
 def test_poststratify_unknown_dimension():
     cells = make_cell_table(2)
     est = _estimates(cells, np.zeros((1, len(cells))))
     with pytest.raises(ValueError):
-        poststratify(est, cells, ("age",))
+        poststratify(est, ("age",))
     with pytest.raises(ValueError, match="ethnicity"):
-        poststratify(est, cells, ("ethnicity",))
+        poststratify(est, ("ethnicity",))
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +198,9 @@ def test_calibrate_fixed_point():
     cells = make_cell_table(3, seed=1)
     rng = np.random.default_rng(2)
     est = _estimates(cells, 0.3 * rng.standard_normal((4, len(cells))))
-    by_state = poststratify(est, cells, ("state",)).theta
+    by_state = poststratify(est, ("state",)).theta
     rec = by_state[0]  # draw 0's aggregates as the recorded totals
-    cal, deltas = calibrate_to_totals(
-        CellEstimates(cells, est.eta[:1]), cells, rec)
+    cal, deltas = calibrate_to_totals(CellEstimates(cells, est.eta[:1]), rec)
     assert np.max(np.abs(deltas)) < 1e-8
     assert np.max(np.abs(cal.eta - est.eta[:1])) < 1e-8
 
@@ -202,7 +211,7 @@ def test_calibrate_single_cell_closed_form():
     # pad to a 2-state full cross is unnecessary here: calibration only
     # needs per-state cell groups
     est = _estimates(cells, np.zeros((1, 3)))
-    cal, deltas = calibrate_to_totals(est, cells, {1: 0.75, 2: 0.5})
+    cal, deltas = calibrate_to_totals(est, np.array([0.75, 0.5]))
     assert abs(deltas[0, 0] - logit(0.75)) < 1e-10
     assert abs(deltas[0, 0] - 1.0986) < 1e-4
     assert abs(deltas[0, 1]) < 1e-10
@@ -215,8 +224,8 @@ def test_calibrate_matches_grid_oracle():
                       rng.uniform(100, 1000, 10), np.ones(10))
     eta = rng.standard_normal((3, 10))
     est = _estimates(cells, eta)
-    cal, deltas = calibrate_to_totals(est, cells, {1: 0.6, 2: 0.6})
-    agg = poststratify(cal, cells, ("state",))
+    cal, deltas = calibrate_to_totals(est, np.array([0.6, 0.6]))
+    agg = poststratify(cal, ("state",))
     assert np.max(np.abs(agg.theta - 0.6)) < 1e-8
 
     # dense grid search over delta for draw 0, state 1
@@ -231,9 +240,9 @@ def test_calibrate_idempotent():
     rng = np.random.default_rng(11)
     cells = make_cell_table(6, seed=11)
     est = _estimates(cells, rng.standard_normal((8, len(cells))))
-    rec = {s: r for s, r in zip(range(1, 7), rng.uniform(0.3, 0.7, 6))}
-    cal, _ = calibrate_to_totals(est, cells, rec)
-    cal2, deltas2 = calibrate_to_totals(cal, cells, rec)
+    rec = rng.uniform(0.3, 0.7, 6)
+    cal, _ = calibrate_to_totals(est, rec)
+    cal2, deltas2 = calibrate_to_totals(cal, rec)
     assert np.max(np.abs(deltas2)) < 1e-10
 
 
@@ -241,7 +250,7 @@ def test_calibrate_rejects_degenerate_share():
     cells = make_cell_table(2)
     est = _estimates(cells, np.zeros((1, len(cells))))
     with pytest.raises(ValueError, match="strictly"):
-        calibrate_to_totals(est, cells, {1: 1.0, 2: 0.5})
+        calibrate_to_totals(est, np.array([1.0, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +259,7 @@ def test_calibrate_rejects_degenerate_share():
 def test_slopes_flat_cells():
     cells = make_cell_table(3)
     est = _estimates(cells, np.full((2, len(cells)), 0.4))
-    out = state_income_slopes(est, cells)
+    out = state_income_slopes(est)
     assert np.max(np.abs(out["gap"]["mean"])) < 1e-12
     assert np.max(np.abs(out["ls_slope"]["mean"])) < 1e-12
 
@@ -260,7 +269,7 @@ def test_slopes_linear_curve():
                       np.ones(10), np.ones(10))
     theta = np.array([0.3, 0.4, 0.5, 0.6, 0.7] * 2)
     est = _estimates(cells, logit(theta)[None, :])
-    out = state_income_slopes(est, cells)
+    out = state_income_slopes(est)
     assert np.allclose(out["gap"]["mean"], 0.4, atol=1e-12)
     assert np.allclose(out["ls_slope"]["mean"], 0.1, atol=1e-12)
 
@@ -269,7 +278,7 @@ def test_national_income_gap_consistency():
     cells = make_cell_table(5, seed=13)
     rng = np.random.default_rng(13)
     est = _estimates(cells, rng.standard_normal((6, len(cells))))
-    gap = national_income_gap(est, cells)
-    agg = poststratify(est, cells, ("income",))
+    gap = national_income_gap(est)
+    agg = poststratify(est, ("income",))
     want = agg.theta[:, agg.keys.index((5,))] - agg.theta[:, agg.keys.index((1,))]
     assert np.allclose(gap, want, atol=1e-14)

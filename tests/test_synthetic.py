@@ -89,8 +89,7 @@ def test_redblue_slope_pattern():
     layout = build_layout(sc.spec, states)
     eta = eta_cells(truth, layout, cells.state_id, cells.income_cat,
                     cells.ethnicity)
-    out = state_income_slopes(CellEstimates(cells, eta[None, :]),
-                              cells, states)
+    out = state_income_slopes(CellEstimates(cells, eta[None, :]), states)
     gap = out["gap"]["mean"]
     rich = int(np.argmax(states.avg_income))
     poor = int(np.argmin(states.avg_income))
@@ -110,7 +109,7 @@ def test_redblue_national_gap_is_020():
     layout = build_layout(sc.spec, states)
     eta = eta_cells(truth, layout, cells.state_id, cells.income_cat,
                     cells.ethnicity)
-    gap = national_income_gap(CellEstimates(cells, eta[None, :]), cells)
+    gap = national_income_gap(CellEstimates(cells, eta[None, :]))
     assert abs(gap[0] - 0.20) < 1e-6
 
 
