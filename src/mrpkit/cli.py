@@ -18,13 +18,14 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from mrpkit import __version__
 from mrpkit.data import (N_INCOME, DataError, load_cells, load_dataset,
                          load_recorded, load_states)
-from mrpkit.design import ModelSpec, build_layout
+from mrpkit.design import DEFAULT_STATE_PREDICTORS, ModelSpec, build_layout
 from mrpkit.diagnostics import diagnostics_table
 from mrpkit.model import LogDensityModel, PriorConfig
 from mrpkit.poststrat import calibrate_to_totals, poststratify, predict_cells
@@ -44,11 +45,11 @@ class RunConfig:
     survey: str = ""
     cells: str = ""
     states: str = ""
-    rung: str = "M1"
+    rung: str = ModelSpec.rung
     use_ethnicity: bool = False
-    state_predictors: tuple[str, ...] = ("avg_income", "prev_rep_share", "region")
-    prior_mode: str = "weak"
-    coef_scale: float = 5.0
+    state_predictors: tuple[str, ...] = DEFAULT_STATE_PREDICTORS
+    prior_mode: str = PriorConfig.mode
+    coef_scale: float = PriorConfig.coef_scale
     chains: int = 4
     warmup: int = 1000
     iters: int = 1000
@@ -78,12 +79,14 @@ RUN_KEYS = {
     ("output", "dir"): "outdir",
     ("report", "exclude_ak_hi_dc"): "exclude_ak_hi_dc",
 }
-# least value of each sampler key; R-hat, and with it the convergence
-# stamp of a CLI fit, needs two chains
-SAMPLER_MIN = {"chains": 2, "warmup": 0, "iters": 1, "seed": 0}
-# the keys simulate reads ("s" is S)
-SCENARIO_KEYS = {("scenario", k) for k in ("kind", "s", "n", "seed", "outdir",
-                                           "rung")}
+# [scenario] key -> setting, for the keys simulate reads
+SCENARIO_KEYS = {("scenario", k.lower()): k
+                 for k in ("kind", "S", "n", "seed", "outdir", "rung")}
+# least value of each sampler and scenario key; R-hat, and with it the
+# convergence stamp of a CLI fit, needs two chains, and the hierarchy two
+# states
+SAMPLER_MIN = {"chains": 2, "warmup": 0, "iters": 1, "seed": 0, "S": 2,
+               "n": 1}
 
 
 def _read_ini(path) -> configparser.ConfigParser:
@@ -96,7 +99,7 @@ def _read_ini(path) -> configparser.ConfigParser:
         cp.read(path)
     except configparser.Error as err:
         raise DataError(f"{path}: cannot parse config: {err}") from None
-    known = RUN_KEYS.keys() | SCENARIO_KEYS
+    known = RUN_KEYS.keys() | SCENARIO_KEYS.keys()
     for section in cp.sections():
         if section not in {sec for sec, _ in known}:
             raise DataError(f"{path}: unknown config section [{section}]")
@@ -107,12 +110,11 @@ def _read_ini(path) -> configparser.ConfigParser:
     return cp
 
 
-def read_config(path) -> RunConfig:
-    """RunConfig from an INI file; DataError naming the file, section and
-    key of a value that does not convert or is out of range."""
-    cp = _read_ini(path)
-    cfg = RunConfig()
-    for (section, key), name in RUN_KEYS.items():
+def _read_values(cp, path, keys, cfg):
+    """Set each attribute of ``cfg`` named in ``keys`` whose key ``cp``
+    holds, converted to the type of its default; DataError naming the file,
+    section and key of a value that does not convert or is out of range."""
+    for (section, key), name in keys.items():
         if not cp.has_option(section, key):
             continue
         value, default = cp.get(section, key), getattr(cfg, name)
@@ -131,6 +133,13 @@ def read_config(path) -> RunConfig:
             raise DataError(f"{path}: [{section}] {key} = {value} is below "
                             f"its minimum {SAMPLER_MIN[name]}")
         setattr(cfg, name, value)
+    return cfg
+
+
+def read_config(path) -> RunConfig:
+    """RunConfig from an INI file; DataError naming the file, section and
+    key of a value that does not convert or is out of range."""
+    cfg = _read_values(_read_ini(path), path, RUN_KEYS, RunConfig())
     try:
         cfg.prior  # PriorConfig checks the prior's values
     except ValueError as err:
@@ -317,19 +326,15 @@ def cmd_simulate(config_path) -> int:
     cp = _read_ini(config_path)
     if not cp.has_section("scenario"):
         raise DataError("simulate config needs a [scenario] section")
-    kind = cp.get("scenario", "kind", fallback="redblue")
-    S = cp.getint("scenario", "S", fallback=50)
-    n = cp.getint("scenario", "n", fallback=30000)
-    seed = cp.getint("scenario", "seed", fallback=0)
-    outdir = cp.get("scenario", "outdir", fallback="simdata")
-    if kind == "redblue":
-        scenario = redblue_scenario(S=S, n=n, seed=seed)
-    elif kind == "basic":
-        rung = cp.get("scenario", "rung", fallback="M1")
-        scenario = Scenario(S=S, rung=rung, n=n, seed=seed)
+    sim = _read_values(cp, config_path, SCENARIO_KEYS, SimpleNamespace(
+        kind="redblue", S=50, n=30000, seed=0, outdir="simdata", rung="M1"))
+    if sim.kind == "redblue":
+        scenario = redblue_scenario(S=sim.S, n=sim.n, seed=sim.seed)
+    elif sim.kind == "basic":
+        scenario = Scenario(S=sim.S, rung=sim.rung, n=sim.n, seed=sim.seed)
     else:
-        raise DataError(f"unknown scenario kind {kind!r}")
-    paths = write_scenario_files(scenario, outdir)
+        raise DataError(f"unknown scenario kind {sim.kind!r}")
+    paths = write_scenario_files(scenario, sim.outdir)
     for p in paths.values():
         print(p)
     return EXIT_OK

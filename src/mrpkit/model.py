@@ -270,14 +270,13 @@ class LogDensityModel:
         """
         import scipy.optimize
 
-        lay = self.layout
-        P = self.n_params
-        fixed_names = [n for n in ("sigma_alpha", "slope_sigma", "sigma_cat",
-                                   "corr") if lay.has(n)]
-        fixed = np.concatenate([np.arange(lay.sl(n).start, lay.sl(n).stop)
-                                for n in fixed_names])
-        free = np.setdiff1d(np.arange(P), fixed)
-        x = np.zeros(P)
+        fixed = [self._sa]
+        if self._varying_slope:
+            fixed += [self._ss, self._corr]
+        if self._category_offsets:
+            fixed.append(self._sc)
+        free = np.setdiff1d(np.arange(self.n_params), fixed)
+        x = np.zeros(self.n_params)
         for _ in range(INITIAL_POINT_ROUNDS):
             def neg(xf):
                 y = x.copy()
@@ -295,16 +294,15 @@ class LogDensityModel:
             x[free] = res.x
             p = self._unpack(x)
             u = p["alpha"] - self.W @ p["gamma"]
-            x[lay.sl("sigma_alpha")] = np.log(max(float(np.std(u)), 1e-2))
-            if self.spec.varying_slope:
+            x[self._sa] = np.log(max(float(np.std(u)), 1e-2))
+            if self._varying_slope:
                 v = p["slope"] - p["slope_mu"]
-                x[lay.sl("slope_sigma")] = np.log(max(float(np.std(v)), 1e-2))
+                x[self._ss] = np.log(max(float(np.std(v)), 1e-2))
                 if np.std(u) > 0 and np.std(v) > 0:
                     r = float(np.corrcoef(u, v)[0, 1])
                     r = np.clip(r if np.isfinite(r) else 0.0, -0.95, 0.95)
-                    x[lay.sl("corr")] = np.arctanh(r)
-            if self.spec.category_offsets:
-                x[lay.sl("sigma_cat")] = np.log(
-                    max(float(np.std(p["cat"])), 1e-2))
+                    x[self._corr] = np.arctanh(r)
+            if self._category_offsets:
+                x[self._sc] = np.log(max(float(np.std(p["cat"])), 1e-2))
         return x
 

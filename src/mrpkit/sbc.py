@@ -35,16 +35,14 @@ def draw_from_prior(scenario: Scenario, prior: PriorConfig, states, rng):
     params[layout.sl("sigma_alpha")] = log_sa
     sa = np.exp(log_sa)
     z1 = rng.standard_normal(layout.n_states)
-    if not spec.varying_slope:
-        params[layout.sl("alpha")] = W @ gamma + sa * z1
-    else:
+    params[layout.sl("alpha")] = W @ gamma + sa * z1
+    if spec.varying_slope:
         slope_mu = cs * rng.standard_normal()
         log_ss = ls * rng.standard_normal()
         zrho = rng.standard_normal()
         rho = np.tanh(zrho)
         ss = np.exp(log_ss)
         z2 = rng.standard_normal(layout.n_states)
-        params[layout.sl("alpha")] = W @ gamma + sa * z1
         params[layout.sl("slope")] = slope_mu + ss * (
             rho * z1 + np.sqrt(1 - rho ** 2) * z2)
         params[layout.sl("slope_mu")] = slope_mu

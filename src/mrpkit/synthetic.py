@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from mrpkit.data import (
-    N_INCOME,
     CellTable,
     Dataset,
     StateTable,
@@ -26,12 +25,17 @@ from mrpkit.data import (
     write_states,
     write_survey,
 )
-from mrpkit.design import (ModelSpec, build_layout, eta_cells, expit,
-                           predictor_matrix)
+from mrpkit.design import (DEFAULT_STATE_PREDICTORS, ModelSpec, build_layout,
+                           eta_cells, expit, predictor_matrix)
+from mrpkit.poststrat import CellEstimates, national_income_gap
 
+# shared by every world: each income (and ethnicity) category's share of a
+# state's adults, turnout by income, and the true scale of the M3 income
+# category offsets
 DEFAULT_INCOME_PROFILE = (0.15, 0.22, 0.26, 0.22, 0.15)
 DEFAULT_TURNOUT = (0.45, 0.52, 0.58, 0.64, 0.70)
 DEFAULT_ETH_PROFILE = (0.65, 0.15, 0.12, 0.08)
+SIGMA_CAT = 0.1
 
 
 @dataclass(frozen=True)
@@ -39,11 +43,11 @@ class Scenario:
     """Complete description of one synthetic world."""
 
     S: int = 50
-    rung: str = "M1"
+    rung: str = ModelSpec.rung
     n: int = 10000
     seed: int = 0
     use_ethnicity: bool = False
-    state_predictors: tuple[str, ...] = ("avg_income", "prev_rep_share", "region")
+    state_predictors: tuple[str, ...] = DEFAULT_STATE_PREDICTORS
 
     # true hyperparameters
     gamma: tuple[float, ...] | None = None   # per W column; None -> zeros
@@ -52,15 +56,9 @@ class Scenario:
     sigma_alpha: float = 0.3
     slope_mu: float = 0.1          # M2/M3
     slope_sigma: float = 0.05      # M2/M3
-    rho: float = 0.0               # intercept/slope error correlation
     slope_on_income: float = 0.0   # generator-only regression of slope on income
-    cat_offsets: tuple[float, ...] = (0.0,) * N_INCOME  # M3 truth
-    sigma_cat: float = 0.1
 
-    # population profile
-    income_profile: tuple[float, ...] = DEFAULT_INCOME_PROFILE
-    turnout_by_income: tuple[float, ...] = DEFAULT_TURNOUT
-    nonresponse_skew: tuple[float, ...] = (1.0,) * N_INCOME
+    # red/blue world
     income_linspace: bool = False  # evenly spread state incomes (red/blue)
     target_national_gap: float | None = None
 
@@ -93,11 +91,11 @@ def make_cells(scenario: Scenario, states: StateTable) -> CellTable:
     rng = _rng(scenario, 3)
     pops = np.round(1e6 * np.exp(0.5 * rng.standard_normal(scenario.S)))
     sid, inc, eth = cell_cross(scenario.S, scenario.use_ethnicity)
-    frac = np.asarray(scenario.income_profile)[inc - 1]
+    frac = np.asarray(DEFAULT_INCOME_PROFILE)[inc - 1]
     if scenario.use_ethnicity:
         frac = frac * np.asarray(DEFAULT_ETH_PROFILE)[eth - 1]
     return CellTable(sid, inc, eth, np.round(pops[sid - 1] * frac),
-                     np.asarray(scenario.turnout_by_income)[inc - 1])
+                     np.asarray(DEFAULT_TURNOUT)[inc - 1])
 
 
 def draw_truth(scenario: Scenario, states: StateTable | None = None,
@@ -129,35 +127,20 @@ def draw_truth(scenario: Scenario, states: StateTable | None = None,
     z2 = rng.standard_normal(S)
     alpha = W @ gamma + scenario.sigma_alpha * z1
     params[layout.sl("alpha")] = alpha
-    if spec.varying_slope:
-        corr_part = scenario.rho * z1 + np.sqrt(1 - scenario.rho ** 2) * z2
-        slope = scenario.slope_mu \
+    if spec.varying_slope:  # independent residuals: corr stays 0
+        params[layout.sl("slope")] = scenario.slope_mu \
             + scenario.slope_on_income * states.avg_income \
-            + scenario.slope_sigma * corr_part
-        params[layout.sl("slope")] = slope
+            + scenario.slope_sigma * z2
         params[layout.sl("slope_mu")] = scenario.slope_mu
         params[layout.sl("slope_sigma")] = np.log(max(scenario.slope_sigma, 1e-12))
-        params[layout.sl("corr")] = np.arctanh(np.clip(scenario.rho, -0.999, 0.999))
-    if spec.category_offsets:
-        params[layout.sl("cat")] = scenario.cat_offsets
-        params[layout.sl("sigma_cat")] = np.log(max(scenario.sigma_cat, 1e-12))
+    if spec.category_offsets:  # the offsets themselves stay 0
+        params[layout.sl("sigma_cat")] = np.log(SIGMA_CAT)
 
     if scenario.target_national_gap is not None and spec.varying_slope:
         cells = cells if cells is not None else make_cells(scenario, states)
         params = _scale_slopes_to_gap(params, layout, cells,
                                       scenario.target_national_gap)
     return params
-
-
-def _national_gap(params, layout, cells) -> float:
-    theta = expit(eta_cells(params, layout, cells.state_id,
-                            cells.income_cat, cells.ethnicity))
-    N = cells.n_voters
-    out = []
-    for i in (1, N_INCOME):
-        m = cells.income_cat == i
-        out.append(float(np.sum(N[m] * theta[m]) / np.sum(N[m])))
-    return out[1] - out[0]
 
 
 def _scale_slopes_to_gap(params, layout, cells, target, tol=1e-8):
@@ -175,14 +158,19 @@ def _scale_slopes_to_gap(params, layout, cells, target, tol=1e-8):
         p[layout.sl("slope_mu")] = c * mu0
         return p
 
+    def gap(c):
+        eta = eta_cells(with_scale(c), layout, cells.state_id,
+                        cells.income_cat, cells.ethnicity)
+        return national_income_gap(CellEstimates(cells, eta))[0]
+
     lo, hi = 0.0, 1.0
-    while _national_gap(with_scale(hi), layout, cells) < target:
+    while gap(hi) < target:
         hi *= 2.0
         if hi > 64:
             raise ValueError("cannot reach target national gap")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _national_gap(with_scale(mid), layout, cells) < target:
+        if gap(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -201,18 +189,15 @@ def true_cell_theta(truth, scenario: Scenario, states=None, cells=None):
 
 def simulate_poll(truth, scenario: Scenario, states: StateTable | None = None,
                   cells: CellTable | None = None, rng=None) -> Dataset:
-    """Respondents allocated to cells in proportion to adult population
-    (times any income nonresponse skew), votes flipped at the cell
-    probability. ``rng`` defaults to the scenario's own poll stream."""
+    """Respondents allocated to cells in proportion to adult population,
+    votes flipped at the cell probability. ``rng`` defaults to the
+    scenario's own poll stream."""
     states = states if states is not None else make_states(scenario)
     cells = cells if cells is not None else make_cells(scenario, states)
     theta = true_cell_theta(truth, scenario, states, cells)
     rng = rng if rng is not None else _rng(scenario, 2)
 
-    skew = np.asarray(scenario.nonresponse_skew)[cells.income_cat - 1]
-    p = cells.n_adults * skew
-    p = p / p.sum()
-    counts = rng.multinomial(scenario.n, p)
+    counts = rng.multinomial(scenario.n, cells.n_adults / cells.n_adults.sum())
     yes = rng.binomial(counts, theta)
 
     # each cell's respondents are contiguous, its yes votes first
@@ -235,7 +220,7 @@ def redblue_scenario(S=50, n=30000, seed=0) -> Scenario:
         gamma=(0.0, -0.15, 0.1, 0.0, 0.0, 0.0),  # intercept, income, share, regions
         beta_inc=0.0,
         sigma_alpha=0.3,
-        slope_mu=0.20, slope_sigma=0.012, rho=0.0,
+        slope_mu=0.20, slope_sigma=0.012,
         slope_on_income=-0.115,
         income_linspace=True,
         target_national_gap=0.20,

@@ -158,6 +158,20 @@ def test_simulate_config_rejects_unknown_key(tmp_path, capsys):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("S", "abc"), ("S", 1), ("n", -5), ("n", 0), ("seed", -1),
+])
+def test_simulate_config_rejects_bad_values(tmp_path, capsys, recwarn, key,
+                                            value):
+    # refused before any world is drawn: no warning, no output directory
+    cfg, outdir = _sim_config(tmp_path, **{key: value})
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "sim.ini" in err and f"[scenario] {key.lower()} = " in err
+    assert not recwarn.list
+    assert not outdir.exists()
+
+
 def test_poststratify_state_rows(fitted_run):
     _, fitcfg, _, outdir = fitted_run
     assert main(["poststratify", "--config", fitcfg,

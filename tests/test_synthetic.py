@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 
 import numpy as np
@@ -46,6 +47,40 @@ def test_truth_residual_sd_matches_sigma_alpha():
     assert abs(resid.std(ddof=1) / 0.3 - 1.0) < 0.02
 
 
+@pytest.mark.parametrize("sc", [
+    Scenario(S=10, rung="M2", seed=21, sigma_alpha=0.2, slope_sigma=0.07),
+    dataclasses.replace(redblue_scenario(seed=4), target_national_gap=None),
+])
+def test_truth_slopes_are_the_rho_zero_form(sc):
+    # the general correlated form rho*z1 + sqrt(1 - rho^2)*z2 at rho = 0,
+    # both normals drawn in order from the truth stream [seed, 1]
+    states = make_states(sc)
+    layout = build_layout(sc.spec, states)
+    W = predictor_matrix(states, sc.spec)
+    gamma = np.zeros(W.shape[1]) if sc.gamma is None else np.array(sc.gamma)
+    rng = np.random.default_rng([sc.seed, 1])
+    z1, z2 = rng.standard_normal(sc.S), rng.standard_normal(sc.S)
+    rho = 0.0
+    truth = draw_truth(sc, states)
+    assert np.array_equal(truth[layout.sl("alpha")],
+                          W @ gamma + sc.sigma_alpha * z1)
+    assert np.array_equal(
+        truth[layout.sl("slope")],
+        sc.slope_mu + sc.slope_on_income * states.avg_income
+        + sc.slope_sigma * (rho * z1 + np.sqrt(1 - rho ** 2) * z2))
+    assert truth[layout.sl("corr")][0] == 0.0
+
+
+def test_m3_truth_offsets_are_zero():
+    sc = Scenario(S=6, rung="M3", seed=2, use_ethnicity=True)
+    states = make_states(sc)
+    layout = build_layout(sc.spec, states)
+    truth = draw_truth(sc, states)
+    assert np.array_equal(truth[layout.sl("cat")], np.zeros(5))
+    assert truth[layout.sl("sigma_cat")][0] == np.log(0.1)
+    assert truth[layout.sl("corr")][0] == 0.0
+
+
 def test_simulate_poll_balanced_at_zero_truth():
     sc = Scenario(S=5, rung="M1", n=100000, seed=2, beta_inc=0.0,
                   sigma_alpha=0.0,
@@ -69,6 +104,22 @@ def test_simulate_poll_cell_rates_converge():
     n, k = ds.cell_counts()
     emp = k / np.maximum(n, 1)
     assert np.max(np.abs(emp - theta)) < 0.01
+
+
+def test_simulate_poll_counts_follow_adults():
+    # respondents in proportion to each cell's adults, then the yes votes,
+    # both from the one generator
+    sc = Scenario(S=5, rung="M2", n=3000, seed=6, use_ethnicity=True)
+    states = make_states(sc)
+    cells = make_cells(sc, states)
+    truth = draw_truth(sc, states, cells)
+    n, k = simulate_poll(truth, sc, states, cells,
+                         np.random.default_rng(12)).cell_counts()
+    rng = np.random.default_rng(12)
+    want = rng.multinomial(3000, cells.n_adults / cells.n_adults.sum())
+    assert np.array_equal(n, want)
+    assert np.array_equal(
+        k, rng.binomial(want, true_cell_theta(truth, sc, states, cells)))
 
 
 def test_simulate_poll_paper_scale_budget():
