@@ -130,6 +130,10 @@ class LogDensityModel:
                              f"({self.n_params},)")
         return params
 
+    # extreme warmup excursions can saturate tanh(zrho) to +-1; the
+    # resulting NaN density and non-finite gradient are caught by divergence
+    # handling, so the intermediate 1/0 warnings are expected noise
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def log_posterior(self, params) -> float:
         params = self._check(params)
         p = self._unpack(params)
@@ -192,9 +196,7 @@ class LogDensityModel:
 
     # -- gradient ------------------------------------------------------------
 
-    # extreme warmup excursions can saturate tanh(zrho) to +-1; the
-    # resulting non-finite gradient is caught by divergence handling,
-    # so the intermediate 1/0 warnings are expected noise
+    # the same saturated-tanh warnings as log_posterior are expected noise
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def grad(self, params) -> np.ndarray:
         params = self._check(params)

@@ -1,8 +1,10 @@
-"""Posterior computation: MAP with Laplace approximation, and Hamiltonian
-Monte Carlo with dual-averaging step-size adaptation.
+"""Posterior computation: MAP by damped Newton on the finite-difference
+Hessian, with a Laplace approximation, and Hamiltonian Monte Carlo with
+dual-averaging step-size adaptation.
 
 Any object exposing ``n_params``, ``log_posterior(x)`` and ``grad(x)`` can be
-sampled; LogDensityModel is the usual target but test stubs work too.
+sampled; LogDensityModel is the usual target but test stubs work too. This
+module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -81,60 +83,41 @@ def fd_hessian(grad_fn, x):
     return 0.5 * (H + H.T)
 
 
-def fit_map(model, init="zeros", max_iter=500, tol=1e-6):
-    """Quasi-Newton ascent to the posterior mode.
+def fit_map(model, init="zeros", max_iter=100, tol=1e-6):
+    """Levenberg-damped Newton ascent to the posterior mode, on the
+    finite-difference Hessian of ``model.grad``; max_iter counts Newton
+    iterations.
 
     Returns (map_point, hessian_factor) where hessian_factor is the lower
     Cholesky factor of the negative Hessian at the mode (the Gaussian
     precision used by sample_laplace).
     """
-    import scipy.linalg
-    import scipy.optimize
-
     P = model.n_params
-    x0 = np.zeros(P) if isinstance(init, str) and init == "zeros" \
+    x = np.zeros(P) if isinstance(init, str) and init == "zeros" \
         else np.asarray(init, dtype=float)
-
-    def neg(x):
-        return -model.log_posterior(x)
-
-    def neg_grad(x):
-        return -model.grad(x)
-
-    res = scipy.optimize.minimize(
-        neg, x0, jac=neg_grad, method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-10,
-                 "maxcor": 25})
-    x = res.x
-    # Damped-Newton polish: L-BFGS stops with a loose gradient, and on badly
-    # conditioned posteriors it stalls entirely. Levenberg damping keeps the
-    # step an ascent direction even where the Hessian is indefinite.
+    # Levenberg damping keeps the step an ascent direction even where the
+    # Hessian is indefinite
     lam = 0.0
-    for _ in range(100):
+    for _ in range(max_iter):
         g = model.grad(x)
-        gnorm = np.linalg.norm(g)
-        if gnorm < tol * max(1, P):
+        if np.linalg.norm(g) < tol * max(1, P):
             break
-        H = fd_hessian(model.grad, x)
-        A = -H
+        A = -fd_hessian(model.grad, x)
         scale = max(np.abs(np.diag(A)).max(), 1.0)
         lp0 = model.log_posterior(x)
-        improved = False
         for _ in range(40):
             try:
-                cf = scipy.linalg.cho_factor(A + lam * np.eye(P))
-                step = scipy.linalg.cho_solve(cf, g)
-                x_new = x + step
+                L = np.linalg.cholesky(A + lam * np.eye(P))
+                x_new = x + np.linalg.solve(L.T, np.linalg.solve(L, g))
                 lp_new = model.log_posterior(x_new)
                 if np.isfinite(lp_new) and lp_new >= lp0:
                     x = x_new
-                    lam = max(lam / 10.0, 0.0)
-                    improved = True
+                    lam /= 10.0
                     break
-            except np.linalg.LinAlgError:  # scipy.linalg raises the same
+            except np.linalg.LinAlgError:
                 pass
             lam = max(lam * 10.0, 1e-8 * scale)
-        if not improved:
+        else:
             break
     g = model.grad(x)
     if np.linalg.norm(g) >= max(tol * max(1, P), 1e-4):
@@ -157,13 +140,11 @@ def fit_map(model, init="zeros", max_iter=500, tol=1e-6):
 
 def sample_laplace(map_point, hessian_factor, n_draws, seed=0, layout=None):
     """Draws from the Gaussian approximation N(map, (L L^T)^-1)."""
-    import scipy.linalg
-
     L = np.asarray(hessian_factor)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_draws, len(map_point)))
     # x = map + L^-T z has covariance (L L^T)^-1
-    x = map_point + scipy.linalg.solve_triangular(L.T, z.T, lower=False).T
+    x = map_point + np.linalg.solve(L.T, z.T).T
     return PosteriorDraws(x, np.zeros(n_draws, dtype=int), layout=layout)
 
 
@@ -355,8 +336,7 @@ def sample_mcmc(model, chains=4, warmup=1000, iters=1000, seed=0,
             try:
                 centers, _ = fit_map(model)
             except ConvergenceError as err:
-                centers = err.best_point if err.best_point is not None \
-                    else np.zeros(P)
+                centers = err.best_point
         # full curvature at the center sets a dense metric; this is what
         # handles weakly identified coefficient-sum directions
         metric = _DenseMetric(-fd_hessian(model.grad, centers))

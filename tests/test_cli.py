@@ -397,11 +397,23 @@ def _run_python(code):
                           text=True, check=True).stdout.splitlines()
 
 
+_QUADRATIC_STUB = (
+    "class Quadratic:\n"
+    "    n_params = 2\n"
+    "    def log_posterior(self, x):\n"
+    "        return -0.5 * float(x @ x) + x[0]\n"
+    "    def grad(self, x):\n"
+    "        return -x + [1.0, 0.0]\n")
+
+
 def test_import_loads_no_scipy():
     # only mrp fit needs scipy; the benchmark's wrappers need every mrpkit
-    # module that the CLI uses to be loaded
+    # module that the CLI uses to be loaded. The MAP and its Laplace draws
+    # are numpy only
     out = _run_python(
-        "import sys, mrpkit, mrpkit.cli, mrpkit.sbc\n" + _PRINT_SCIPY
+        "import sys, mrpkit, mrpkit.cli, mrpkit.sbc\n" + _QUADRATIC_STUB
+        + "x, L = mrpkit.fit_map(Quadratic())\n"
+        "mrpkit.sample_laplace(x, L, 10)\n" + _PRINT_SCIPY
         + "print(all(m in sys.modules for m in ('mrpkit.model', "
         "'mrpkit.samplers', 'mrpkit.poststrat', 'mrpkit.diagnostics')))\n")
     assert out == ["[]", "True"]

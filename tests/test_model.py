@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import expit
 
 import mrpkit.model
+import mrpkit.samplers
 from mrpkit.data import N_INCOME, Dataset, Survey
 from mrpkit.design import (ModelSpec, build_layout, eta_adjoint, eta_kernel,
                            predictor_matrix)
@@ -347,10 +350,26 @@ def _count_calls(monkeypatch, owner, name):
 @pytest.mark.parametrize("init", ["map", "diffuse"])
 def test_every_gradient_is_one_grad_call(monkeypatch, init):
     # the benchmark counts gradients by wrapping LogDensityModel.grad on the
-    # class; each likelihood adjoint must come from exactly one such call
+    # class; each likelihood adjoint must come from exactly one such call.
+    # Neither start reaches fit_map: "map" starts at initial_point, so
+    # fit_map's optimizer cannot change a pipeline's draws
     grads = _count_calls(monkeypatch, LogDensityModel, "grad")
     adjoints = _count_calls(monkeypatch, mrpkit.model, "eta_adjoint")
+    maps = _count_calls(monkeypatch, mrpkit.samplers, "fit_map")
     model = _toy_model(S=3, rung="M2", seed=4)
     sample_mcmc(model, chains=2, warmup=40, iters=30, seed=3, init=init)
     assert grads[0] > 100
     assert grads[0] == adjoints[0]
+    assert maps[0] == 0
+
+
+def test_log_posterior_silent_where_tanh_saturates():
+    # atanh(rho) = 40 saturates tanh to 1, so 1 - rho^2 is 0: the density is
+    # NaN there and, like the gradient, raises no warning
+    model = _toy_model(S=3, rung="M2", seed=4)
+    x = np.zeros(model.n_params)
+    x[model.layout.sl("corr")] = 40.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(model.log_posterior(x))
+        assert not np.isfinite(model.grad(x)).all()

@@ -70,14 +70,17 @@ def test_map_prior_mode_is_zero():
     assert np.max(np.abs(x)) < 1e-8
 
 
-def test_map_beats_truth_on_synthetic():
+@pytest.mark.parametrize("start", ["zeros", "initial_point"])
+def test_map_beats_truth_on_synthetic(start):
+    # zeros is a far start for the hierarchy, initial_point a near one
     sc = Scenario(S=10, rung="M1", n=2000, seed=4)
     states = make_states(sc)
     cells = make_cells(sc, states)
     truth = draw_truth(sc, states, cells)
     ds = simulate_poll(truth, sc, states, cells)
     model = LogDensityModel(ds, sc.spec)
-    x, L = fit_map(model, init=model.initial_point())
+    init = model.initial_point() if start == "initial_point" else start
+    x, L = fit_map(model, init=init)
     assert model.log_posterior(x) >= model.log_posterior(truth)
 
 
