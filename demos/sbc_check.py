@@ -8,15 +8,18 @@ A short run (40 replications) for demonstration; the acceptance check uses
 200. Run: python3 demos/sbc_check.py
 """
 
+import logging
+
 import numpy as np
 
 from mrpkit.sbc import run_sbc, uniformity_pvalues
 from mrpkit.synthetic import Scenario
 
+logging.basicConfig(level=logging.INFO, format="  %(message)s")
 scenario = Scenario(S=5, rung="M1", n=500, seed=11,
                     state_predictors=("avg_income",))
 print("running 40 SBC replications (S=5, n=500, M1)...")
-ranks, layout = run_sbc(scenario, reps=40, seed=7, progress=True)
+ranks, layout = run_sbc(scenario, reps=40, seed=7)
 pvals = uniformity_pvalues(ranks)
 
 names = []

@@ -260,6 +260,8 @@ def cmd_poststratify(cfg: RunConfig, grouping: str, recorded_path=None,
     name = "_".join(dims) if dims else "national"
     out = os.path.join(cfg.outdir, f"estimates_{name}.csv")
     s = agg.summary()
+    if recorded_path and dims == ("state",):  # the same share in every draw
+        s["sd"] = np.zeros(agg.n_groups)
     with open(out, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         keycols = [("state_label" if d == "state" else d) for d in dims]

@@ -1,6 +1,6 @@
 """Input tables: survey microdata, poststratification cells, state predictors.
 
-All three tables are ingested from comma-delimited text with a header row.
+Every input table is read by ``_read_rows`` from UTF-8 CSV with a header row.
 Tables are immutable numpy-array containers after construction; loaders
 validate category ranges, key uniqueness, and cross completeness up front so
 downstream code can index without checks.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -152,55 +153,43 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # loaders
 
-def _read_text(path) -> tuple[list[str], str]:
-    """Header fields (stripped) and the text after the header record."""
-    with open(path, newline="", encoding="utf-8") as f:
-        buf = io.StringIO(f.read(), newline="")
+def _read_rows(path):
+    """Stripped header and a generator of (row number, fields) of the data
+    rows from one csv.reader pass. Refuses text that is not UTF-8 or holds a
+    NUL at once, then, as reached, a row of the wrong field count or that
+    csv.reader cannot split, and after the last row any record that spanned
+    lines (a line break inside quotes)."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        header = next(csv.reader(buf))
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: byte {data[err.start]:#04x} at offset "
+                        f"{err.start} is not UTF-8") from None
+    if "\x00" in text:
+        raise DataError(f"{path}: cannot be read one record per line: a NUL")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
-    return [h.strip() for h in header], buf.read()
+    except csv.Error as err:
+        raise DataError(f"{path}: row 1: {err}") from None
 
-
-def _read_rows(path):
-    """Header fields and the data rows, see ``_rows``."""
-    header, body = _read_text(path)
-    return header, _rows(body, len(header), path)
-
-
-def _rows(body: str, n_fields: int, path):
-    """(row number, fields) of each data row as csv.reader reads them; a
-    row whose field count is not n_fields is an error when reached."""
-    rows = csv.reader(io.StringIO(body, newline=""))
-    for r, row in enumerate(rows, start=2):
-        if len(row) != n_fields:
-            raise DataError(f"{path}: row {r}: expected {n_fields} fields, "
-                            f"got {len(row)}")
-        yield r, row
-
-
-def _text_columns(body: str, n_fields: int) -> np.ndarray | None:
-    """(rows, n_fields) text array of the data rows, split in C, or None
-    when the text is not one record of n_fields per line as csv.reader reads
-    it. np.loadtxt skips blank lines and drops NUL characters, and it reads
-    a line break inside quotes as csv.reader does but spanning two lines;
-    the record count and the NUL test catch all three."""
-    if not body:
-        return np.empty((0, n_fields), dtype=str)
-    if "\x00" in body:
-        return None
-    if "\r" in body:  # loadtxt ends lines only at "\n" and "\r\n"
-        body = body.replace("\r\n", "\n").replace("\r", "\n")
-    n_lines = body.count("\n") + (not body.endswith("\n"))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns of blank lines
-            cols = np.loadtxt(io.StringIO(body), dtype=str, delimiter=",",
-                              comments=None, quotechar='"', ndmin=2)
-    except ValueError:
-        return None
-    return cols if cols.shape == (n_lines, n_fields) else None
+    def rows(n_fields=len(header)):
+        r = 1
+        try:
+            for r, row in enumerate(reader, start=2):
+                if len(row) != n_fields:
+                    raise DataError(f"{path}: row {r}: expected {n_fields} "
+                                    f"fields, got {len(row)}")
+                yield r, row
+        except csv.Error as err:
+            raise DataError(f"{path}: row {r + 1}: {err}") from None
+        if reader.line_num != r:
+            raise DataError(f"{path}: cannot be read one record per line: a "
+                            f"line break inside quotes")
+    return header, rows()
 
 
 def _col(header: list[str], name: str, path) -> int:
@@ -279,10 +268,11 @@ def load_survey(path, spec, states: StateTable | None = None) -> Survey:
     Rows with an empty vote field (no stated preference) are dropped and
     counted; a warning reports the count. Any other malformed field is an
     error naming the row and column; the first bad row in file order is
-    reported. The text is split into columns in C and each distinct row is
-    parsed once.
+    reported. Fields are split as for every input table (``_read_rows``),
+    and each distinct record of the used fields is parsed once, when first
+    met.
     """
-    header, body = _read_text(path)
+    header, rows = _read_rows(path)
     c_state = _col(header, "state", path)
     c_income = _col(header, "income", path)
     c_vote = _col(header, "vote", path)
@@ -290,8 +280,8 @@ def load_survey(path, spec, states: StateTable | None = None) -> Survey:
     if spec.use_ethnicity and c_eth is None:
         raise DataError(f"{path}: model uses ethnicity but column is missing")
 
-    used = [c_state, c_income] + ([c_eth] if spec.use_ethnicity else []) \
-        + [c_vote]
+    used = operator.itemgetter(
+        c_state, c_income, *([c_eth] if spec.use_ethnicity else []), c_vote)
 
     def parse(fields, r):
         """(state, income, ethnicity, vote) from the used fields of row r;
@@ -305,26 +295,18 @@ def load_survey(path, spec, states: StateTable | None = None) -> Survey:
                 if eth else 0,
                 _parse_int(vote, r, "vote", 0, 1, path))
 
-    cols = _text_columns(body, len(header))
-    if cols is None:
-        # name the first bad row as csv.reader reads the file
-        for r, row in _rows(body, len(header), path):
-            parse([row[c] for c in used], r)
-        raise DataError(f"{path}: cannot be read one record per line: a "
-                        f"line break inside quotes or a NUL character")
-    sub = np.ascontiguousarray(cols[:, used])
-    keys = sub.view(np.dtype((np.void, sub.itemsize * len(used)))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True,
-                                  return_inverse=True)
-    # each distinct row is parsed once, in order of first appearance, so
-    # the first to fail is the first bad row of the file
-    parsed = [None] * len(first)
-    for j in np.argsort(first):
-        parsed[j] = parse(sub[first[j]].tolist(), int(first[j]) + 2)
-    kept = np.array([p is not None for p in parsed], dtype=bool)[inverse]
+    ids, parsed, index = {}, [], []  # record -> id; id -> parse; row -> id
+    for r, row in rows:
+        key = used(row)
+        if key not in ids:
+            ids[key] = len(parsed)
+            parsed.append(parse(key, r))
+        index.append(ids[key])
+    index = np.array(index, dtype=np.intp)
+    kept = np.array([p is not None for p in parsed], dtype=bool)[index]
     table = np.array([p or (0, 0, 0, 0) for p in parsed],
                      dtype=int).reshape(-1, 4)
-    state, income, eth, vote = table[inverse[kept]].T.copy()
+    state, income, eth, vote = table[index[kept]].T.copy()
 
     n_dropped = len(kept) - int(kept.sum())
     if n_dropped:

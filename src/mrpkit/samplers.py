@@ -412,14 +412,25 @@ def save_draws(draws: PosteriorDraws, bin_path, json_path) -> None:
 
 
 def load_draws(bin_path, json_path, layout=None) -> PosteriorDraws:
-    with open(json_path, encoding="utf-8") as f:
-        header = json.load(f)
+    """Draws that ``save_draws`` wrote; ValueError naming the file whose
+    header is not one, or whose size or blocks do not match."""
+    try:
+        with open(json_path, encoding="utf-8") as f:
+            header = json.load(f)
+        D, P, chain_id, blocks = (
+            header[k] for k in ("n_draws", "n_params", "chain_id", "blocks"))
+    except (ValueError, LookupError, TypeError) as err:
+        raise ValueError(f"{json_path}: not a draws header: {err!r}") from None
+    if not (all(type(v) is int and v >= 0 for v in (D, P))
+            and isinstance(chain_id, list) and len(chain_id) == D
+            and (blocks is None or isinstance(blocks, dict))):
+        raise ValueError(f"{json_path}: n_draws, n_params, chain_id or "
+                         f"blocks has the wrong type or length")
     raw = np.fromfile(bin_path, dtype="<f8")
-    D, P = header["n_draws"], header["n_params"]
     if raw.size != D * P:
         raise ValueError(f"{bin_path}: expected {D * P} values, got {raw.size}")
-    if layout is not None and header.get("blocks") is not None:
-        if layout.block_dict() != header["blocks"]:
-            raise ValueError("draws file block structure does not match layout")
-    return PosteriorDraws(raw.reshape(D, P), np.asarray(header["chain_id"]),
+    if layout is not None and blocks is not None \
+            and layout.block_dict() != blocks:
+        raise ValueError(f"{json_path}: blocks do not match the layout")
+    return PosteriorDraws(raw.reshape(D, P), np.asarray(chain_id),
                           layout=layout, diagnostics=header.get("diagnostics"))

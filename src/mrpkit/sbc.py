@@ -8,6 +8,7 @@ posterior draws. If sampling is correct the ranks are uniform.
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from mrpkit.design import build_layout, predictor_matrix
 from mrpkit.model import LogDensityModel, PriorConfig
 from mrpkit.samplers import sample_mcmc
 from mrpkit.synthetic import Scenario, make_cells, make_states, simulate_poll
+
+log = logging.getLogger(__name__)
 
 
 def draw_from_prior(scenario: Scenario, prior: PriorConfig, states, rng):
@@ -63,9 +66,10 @@ def _simulate_fixed_design(truth, scenario, states, cells, rng) -> Dataset:
 
 def run_sbc(scenario: Scenario, reps=200, n_rank_draws=19,
             warmup=300, iters=400, seed=0,
-            prior: PriorConfig | None = None, progress=False):
+            prior: PriorConfig | None = None):
     """Rank statistics over ``reps`` replications; returns (ranks, layout)
-    with ranks of shape (reps, P), each rank in 0..n_rank_draws."""
+    with ranks of shape (reps, P), each rank in 0..n_rank_draws. Progress
+    is logged at INFO on the ``mrpkit.sbc`` logger every 20 replications."""
     prior = prior or PriorConfig(coef_scale=1.0, log_scale_sd=1.0)
     states = make_states(scenario)
     cells = make_cells(scenario, states)
@@ -81,8 +85,8 @@ def run_sbc(scenario: Scenario, reps=200, n_rank_draws=19,
         thin = max(1, iters // n_rank_draws)
         sub = draws.draws[thin - 1::thin][:n_rank_draws]
         ranks[r] = np.sum(sub < truth, axis=0)
-        if progress and (r + 1) % 20 == 0:
-            print(f"  sbc replication {r + 1}/{reps}")
+        if (r + 1) % 20 == 0:
+            log.info("sbc replication %d/%d", r + 1, reps)
     return ranks, layout
 
 

@@ -243,6 +243,7 @@ def test_poststratify_calibrated_matches_recorded(fitted_run, tmp_path):
     got = {r["state_label"]: float(r["mean"]) for r in rows}
     for lbl, s in zip(states.labels, shares):
         assert abs(got[lbl] - s) < 1e-8
+    assert all(r["sd"] == "0.0" for r in rows)
 
 
 def test_poststratify_without_survey(fitted_run, tmp_path):
@@ -360,6 +361,35 @@ def test_reporting_needs_manifest(fitted_run, tmp_path, capsys, command):
     (run / "manifest.json").unlink()
     assert main([command[0], "--config", cfg]) == 2
     assert f"{run / 'manifest.json'} not found" in capsys.readouterr().err
+
+
+_BAD_HEADERS = {  # problem: (edit of the parsed draws.json, text of error)
+    "no n_params": (lambda h: h.pop("n_params"), "n_params"),
+    "no n_draws": (lambda h: h.pop("n_draws"), "n_draws"),
+    "text n_draws": (lambda h: h.update(n_draws=str(h["n_draws"])),
+                     "n_draws"),
+    "short chain_id": (lambda h: h["chain_id"].pop(), "chain_id"),
+    "no blocks": (lambda h: h.pop("blocks"), "blocks"),
+    "not JSON": (None, "not a draws header"),
+}
+
+
+@pytest.mark.parametrize("command", ["poststratify", "diagnose"])
+@pytest.mark.parametrize("problem", list(_BAD_HEADERS))
+def test_reporting_refuses_a_bad_draws_header(fitted_run, tmp_path, capsys,
+                                              command, problem):
+    _, run, cfg = _refit_copy(fitted_run, tmp_path)
+    path = run / "draws.json"
+    edit, named = _BAD_HEADERS[problem]
+    if edit is None:
+        path.write_text(path.read_text()[:-20])
+    else:
+        header = json.loads(path.read_text())
+        edit(header)
+        path.write_text(json.dumps(header))
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and named in err
 
 
 def test_interrupted_refit_leaves_no_usable_run(fitted_run, tmp_path, capsys,

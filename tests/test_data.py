@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mrpkit.data import (
     write_survey,
 )
 from mrpkit.design import ModelSpec
+from mrpkit.synthetic import Scenario, write_scenario_files
 
 from conftest import make_cell_table, make_state_table, make_survey
 
@@ -344,24 +346,159 @@ def test_voter_weights_brute_force_oracle():
 # ---------------------------------------------------------------------------
 # load_states and round trips
 
-@pytest.mark.parametrize("loader", ["cells", "states", "recorded"])
-def test_loaders_check_field_count(tmp_path, loader):
-    states = make_state_table(3)
+def _small_table(loader, states):
+    """Text of a valid table for the three states ``states`` (the cells by
+    state index) and the function that loads it."""
+    if loader == "survey":
+        return ("state,income,vote\nS01,2,1\nS02,3,0\n",
+                lambda p: load_survey(p, ModelSpec("M1"), states))
     if loader == "cells":
-        text = _cells_csv(3).replace("1,2,1000,0.6", "1,2", 1)
-        load = lambda p: load_cells(p, ModelSpec("M1"))  # noqa: E731
-        row, k = 3, 4
-    elif loader == "states":
-        text = "state,avg_income,prev_rep_share,region\nS01,1,0.5,1\nS02\n"
-        load, row, k = load_states, 3, 4
-    else:
-        text = "state,rep_share\nS01,0.5\nS02,0.5,\nS03,0.5\n"
-        load = lambda p: load_recorded(p, states)  # noqa: E731
-        row, k = 3, 2
-    p = _write(tmp_path / f"{loader}.csv", text)
-    with pytest.raises(DataError, match=rf"{loader}.csv: row {row}: expected "
-                                        rf"{k} fields, got"):
+        return _cells_csv(3), lambda p: load_cells(p, ModelSpec("M1"))
+    if loader == "states":
+        return ("state,avg_income,prev_rep_share,region\n"
+                "S01,1,0.5,1\nS02,2,0.5,1\n", load_states)
+    return ("state,rep_share\nS01,0.5\nS02,0.5\nS03,0.5\n",
+            lambda p: load_recorded(p, states))
+
+
+_UNSPLIT = "cannot be read one record per line"
+
+
+@pytest.mark.parametrize("loader,edit,message", [
+    pytest.param("cells", ("1,2,1000,0.6", "1,2"),
+                 "row 3: expected 4 fields, got", id="cells"),
+    pytest.param("states", ("S02,2,0.5,1", "S02"),
+                 "row 3: expected 4 fields, got", id="states"),
+    pytest.param("recorded", ("S02,0.5", "S02,0.5,"),
+                 "row 3: expected 2 fields, got", id="recorded"),
+    # a NUL, or a line break inside quotes in a field that still parses,
+    # is refused as in a survey
+    pytest.param("cells", ("1,1,", "1,\x001,"), _UNSPLIT, id="cells-NUL"),
+    pytest.param("states", ("S01,1,", "S01,1\x00,"), _UNSPLIT,
+                 id="states-NUL"),
+    pytest.param("recorded", ("S03,0.5", "S03,\x000.5"), _UNSPLIT,
+                 id="recorded-NUL"),
+    pytest.param("cells", ("1,2,1000,", '1,2,"1000\n",'), _UNSPLIT,
+                 id="cells-quoted-line-break"),
+    pytest.param("states", ("S01,1,", 'S01,"1\n",'), _UNSPLIT,
+                 id="states-quoted-line-break"),
+    pytest.param("recorded", ("S01,0.5", 'S01,"0.5\n"'), _UNSPLIT,
+                 id="recorded-quoted-line-break"),
+    # an unclosed quote swallows the rest of the file into one field
+    pytest.param("survey", ("S02,3,0\n", '"S02,3,0\n' + "S01,1,1\n" * 20000),
+                 r"row 3: field larger than field limit \(131072\)",
+                 id="survey-unclosed-quote"),
+])
+def test_loaders_check_field_count(tmp_path, loader, edit, message):
+    text, load = _small_table(loader, make_state_table(3))
+    p = _write(tmp_path / f"{loader}.csv", text.replace(*edit, 1))
+    with pytest.raises(DataError, match=rf"{loader}.csv: {message}"):
         load(p)
+
+
+@pytest.mark.parametrize("loader", ["survey", "cells", "states", "recorded"])
+def test_loaders_name_a_byte_that_is_not_utf8(tmp_path, loader):
+    text, load = _small_table(loader, make_state_table(3))
+    data = bytearray(text.encode())
+    at = data.index(b"\n") + 2  # in the first data row
+    data[at] = 0xFF
+    p = tmp_path / f"{loader}.csv"
+    p.write_bytes(bytes(data))
+    with pytest.raises(DataError) as err:
+        load(str(p))
+    assert str(err.value) == f"{p}: byte 0xff at offset {at} is not UTF-8"
+
+
+def _mutants(data: bytes, rng):
+    """(name, bytes) of corrupted copies of a CSV table: truncations, one
+    byte inserted, deleted, flipped or set to 0xff, a bad value in one field,
+    a row duplicated or deleted, a BOM, other line ends, a NUL and a quoted
+    line break."""
+    def at():
+        return int(rng.integers(len(data)))
+
+    end = b"\r\n" if b"\r\n" in data else b"\n"
+    lines = data.splitlines()
+
+    def with_line(i, line):
+        return end.join(lines[:i] + [line] + lines[i + 1:]) + end
+
+    def row():
+        return int(rng.integers(1, len(lines)))
+
+    out = [("empty", b"")]
+    for _ in range(3):
+        i = at()
+        out.append((f"truncated at {i}", data[:i]))
+    for _ in range(2):
+        i, b = at(), bytes([int(rng.integers(256))])
+        out.append((f"{b!r} inserted at {i}", data[:i] + b + data[i:]))
+        i = at()
+        out.append((f"byte {i} deleted", data[:i] + data[i + 1:]))
+        i, bit = at(), 1 << int(rng.integers(8))
+        out.append((f"byte {i} bit {bit} flipped",
+                    data[:i] + bytes([data[i] ^ bit]) + data[i + 1:]))
+        i = at()
+        out.append((f"byte {i} set to 0xff",
+                    data[:i] + b"\xff" + data[i + 1:]))
+    n_fields = len(lines[0].split(b","))
+    for value in (b"nan", b"inf", b"-1", b"x", b""):
+        i, j = row(), int(rng.integers(n_fields))
+        fields = lines[i].split(b",")
+        fields[j] = value
+        out.append((f"row {i + 1} field {j + 1} {value!r}",
+                    with_line(i, b",".join(fields))))
+    i = row()
+    out.append((f"row {i + 1} duplicated",
+                end.join(lines[:i + 1] + lines[i:]) + end))
+    out.append((f"row {i + 1} deleted", end.join(lines[:i] + lines[i + 1:])
+                + end))
+    out.append(("BOM", b"\xef\xbb\xbf" + data))
+    for new_end in (b"\n", b"\r\n", b"\r"):
+        out.append((f"line ends {new_end!r}", new_end.join(lines) + new_end))
+    i = at()
+    out.append(("NUL", data[:i] + b"\x00" + data[i:]))
+    i, j = row(), int(rng.integers(n_fields))
+    fields = lines[i].split(b",")
+    fields[j] = b'"' + fields[j] + b'\n"'
+    out.append(("quoted line break", with_line(i, b",".join(fields))))
+    return out
+
+
+@pytest.mark.parametrize("table", ["survey", "cells", "states", "recorded"])
+def test_loaders_load_or_name_the_file_on_corrupt_input(tmp_path, table):
+    # each corrupted copy loads or raises a DataError that starts with the
+    # file's path; never another exception
+    sc = Scenario(S=3, n=200, seed=1)
+    paths = write_scenario_files(sc, tmp_path / "world")
+    states = load_states(paths["states"])
+    paths["recorded"] = str(tmp_path / "world" / "recorded.csv")
+    _write(tmp_path / "world" / "recorded.csv", "state,rep_share\n" + "".join(
+        f"{label},0.{40 + i}\n" for i, label in enumerate(states.labels)))
+    load = {"survey": lambda p: load_survey(p, sc.spec, states),
+            "cells": lambda p: load_cells(p, sc.spec, states),
+            "states": load_states,
+            "recorded": lambda p: load_recorded(p, states)}[table]
+    data = open(paths[table], "rb").read()
+    load(paths[table])
+    rng = np.random.default_rng(list(table.encode()))
+    refused, wrong = set(), []
+    for k, (name, mutant) in enumerate(_mutants(data, rng)):
+        path = tmp_path / str(k) / f"{table}.csv"
+        path.parent.mkdir()
+        path.write_bytes(mutant)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # dropped rows
+                load(str(path))
+        except DataError as err:
+            refused.add(name)
+            if not str(err).startswith(f"{path}: "):
+                wrong.append((name, str(err)))
+        except Exception as err:  # noqa: BLE001
+            wrong.append((name, repr(err)))
+    assert not wrong
+    assert {"empty", "BOM", "NUL", "quoted line break"} <= refused
 
 
 def test_load_states_standardizes(tmp_path):

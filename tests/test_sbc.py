@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -63,6 +65,16 @@ def test_run_sbc_smoke():
     assert ranks.shape == (10, layout.n_params)
     assert ranks.min() >= 0
     assert ranks.max() <= 19
+
+
+def test_run_sbc_logs_progress(caplog):
+    sc = Scenario(S=4, rung="M1", n=200, seed=3,
+                  state_predictors=("avg_income",))
+    with caplog.at_level(logging.INFO, logger="mrpkit.sbc"):
+        run_sbc(sc, reps=40, warmup=10, iters=19, seed=5)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("mrpkit.sbc", logging.INFO, "sbc replication 20/40"),
+        ("mrpkit.sbc", logging.INFO, "sbc replication 40/40")]
 
 
 def test_sbc_poll_is_simulate_poll():
