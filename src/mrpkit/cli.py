@@ -148,25 +148,26 @@ def read_config(path) -> RunConfig:
 
 
 def _sha256(path) -> str:
+    """Hex sha256 of a file; DataError naming it if it cannot be read."""
     h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as f:
+            for chunk in iter(lambda: f.read(65536), b""):
+                h.update(chunk)
+    except OSError as err:
+        raise DataError(f"{path}: cannot be read: {err.strerror}") from None
     return h.hexdigest()
 
 
 def _check_inputs(cfg: RunConfig, names) -> None:
     for name in names:
-        path = getattr(cfg, name)
-        if not path:
+        if not getattr(cfg, name):
             raise DataError(f"config is missing the {name} input path")
-        if not os.path.exists(path):
-            raise DataError(f"{name} file not found: {path}")
 
 
 def _check_manifest(cfg: RunConfig, names) -> None:
-    """DataError unless each named input exists and has the sha256 that the
-    fit recorded in the run's manifest.json."""
+    """DataError unless each named input can be read and has the sha256
+    that the fit recorded in the run's manifest.json."""
     _check_inputs(cfg, names)
     manifest = os.path.join(cfg.outdir, "manifest.json")
     try:
@@ -260,7 +261,8 @@ def cmd_poststratify(cfg: RunConfig, grouping: str, recorded_path=None,
     name = "_".join(dims) if dims else "national"
     out = os.path.join(cfg.outdir, f"estimates_{name}.csv")
     s = agg.summary()
-    if recorded_path and dims == ("state",):  # the same share in every draw
+    # a union of whole calibrated states has the same share in every draw
+    if recorded_path and set(dims) <= {"state", "region"}:
         s["sd"] = np.zeros(agg.n_groups)
     with open(out, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)

@@ -56,13 +56,6 @@ class StateTable:
     def n_regions(self) -> int:
         return int(self.region_id.max())
 
-    def index_of(self, label: str) -> int:
-        """1-based state index for a label; DataError if unknown."""
-        try:
-            return self.label_index[label]
-        except KeyError:
-            raise DataError(f"unknown state label {label!r}") from None
-
 
 class Survey:
     """Validated survey responses stored as parallel arrays, one entry per
@@ -155,12 +148,15 @@ class Dataset:
 
 def _read_rows(path):
     """Stripped header and a generator of (row number, fields) of the data
-    rows from one csv.reader pass. Refuses text that is not UTF-8 or holds a
-    NUL at once, then, as reached, a row of the wrong field count or that
-    csv.reader cannot split, and after the last row any record that spanned
-    lines (a line break inside quotes)."""
-    with open(path, "rb") as f:
-        data = f.read()
+    rows from one csv.reader pass. Refuses a file that cannot be read, and
+    text that is not UTF-8 or holds a NUL, at once, then, as reached, a row
+    of the wrong field count or that csv.reader cannot split, and after the
+    last row any record that spanned lines (a line break inside quotes)."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as err:
+        raise DataError(f"{path}: cannot be read: {err.strerror}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:

@@ -83,9 +83,6 @@ class ParameterLayout:
     def sl(self, name: str) -> slice:
         return self._slices[name]
 
-    def has(self, name: str) -> bool:
-        return name in self._slices
-
     def block_dict(self) -> dict[str, list[int]]:
         """{name: [offset, length]} for serialization."""
         return {name: [s.start, s.stop - s.start]

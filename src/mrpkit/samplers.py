@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 FD_STEP = 1e-5  # relative finite-difference step of fd_hessian
+MAP_TOL = 1e-6  # fit_map stops at gradient norm MAP_TOL * n_params
 DIVERGENCE_ENERGY = 1000.0
 MAX_LEAPFROG_STEPS = 512
 INIT_JITTER = 0.1            # sd of the jitter around the chains' center
@@ -34,18 +35,19 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class PosteriorDraws:
-    """Post-warmup draws (D x P), sampling order within chain."""
+    """Post-warmup draws (D x P) of ``n_chains`` equal chains, stored back
+    to back, sampling order within chain."""
 
     draws: np.ndarray
-    chain_id: np.ndarray
+    n_chains: int = 1
     layout: object = None
     diagnostics: dict | None = None
 
     def __post_init__(self):
         self.draws = np.atleast_2d(np.asarray(self.draws, dtype=float))
-        self.chain_id = np.asarray(self.chain_id, dtype=int)
-        if len(self.chain_id) != self.draws.shape[0]:
-            raise ValueError("chain_id length must match number of draws")
+        if self.n_chains < 1 or self.n_draws % self.n_chains:
+            raise ValueError(f"{self.n_draws} draws do not split into "
+                             f"{self.n_chains} equal chains")
 
     @property
     def n_draws(self) -> int:
@@ -55,16 +57,9 @@ class PosteriorDraws:
     def n_params(self) -> int:
         return self.draws.shape[1]
 
-    @property
-    def n_chains(self) -> int:
-        return len(np.unique(self.chain_id))
-
     def by_chain(self) -> np.ndarray:
-        """(chains, draws_per_chain, P); requires equal-length chains."""
-        ids = np.unique(self.chain_id)
-        per = [self.draws[self.chain_id == c] for c in ids]
-        n = min(len(x) for x in per)
-        return np.stack([x[:n] for x in per])
+        """(chains, draws_per_chain, P) view of the draws."""
+        return self.draws.reshape(self.n_chains, -1, self.n_params)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +78,7 @@ def fd_hessian(grad_fn, x):
     return 0.5 * (H + H.T)
 
 
-def fit_map(model, init="zeros", max_iter=100, tol=1e-6):
+def fit_map(model, init="zeros", max_iter=100):
     """Levenberg-damped Newton ascent to the posterior mode, on the
     finite-difference Hessian of ``model.grad``; max_iter counts Newton
     iterations.
@@ -100,7 +95,7 @@ def fit_map(model, init="zeros", max_iter=100, tol=1e-6):
     lam = 0.0
     for _ in range(max_iter):
         g = model.grad(x)
-        if np.linalg.norm(g) < tol * max(1, P):
+        if np.linalg.norm(g) < MAP_TOL * max(1, P):
             break
         A = -fd_hessian(model.grad, x)
         scale = max(np.abs(np.diag(A)).max(), 1.0)
@@ -120,7 +115,7 @@ def fit_map(model, init="zeros", max_iter=100, tol=1e-6):
         else:
             break
     g = model.grad(x)
-    if np.linalg.norm(g) >= max(tol * max(1, P), 1e-4):
+    if np.linalg.norm(g) >= max(MAP_TOL * max(1, P), 1e-4):
         raise ConvergenceError(
             f"MAP optimization did not converge after {max_iter} iterations "
             f"(gradient norm {np.linalg.norm(g):.3g})", best_point=x)
@@ -138,14 +133,14 @@ def fit_map(model, init="zeros", max_iter=100, tol=1e-6):
     return x, L
 
 
-def sample_laplace(map_point, hessian_factor, n_draws, seed=0, layout=None):
+def sample_laplace(map_point, hessian_factor, n_draws, seed=0):
     """Draws from the Gaussian approximation N(map, (L L^T)^-1)."""
     L = np.asarray(hessian_factor)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_draws, len(map_point)))
     # x = map + L^-T z has covariance (L L^T)^-1
     x = map_point + np.linalg.solve(L.T, z.T).T
-    return PosteriorDraws(x, np.zeros(n_draws, dtype=int), layout=layout)
+    return PosteriorDraws(x)
 
 
 # ---------------------------------------------------------------------------
@@ -208,20 +203,22 @@ def _leapfrog(q, p, grad, eps, metric, n_steps, grad_fn):
     return q, p, grad, True
 
 
-def _find_reasonable_eps(q, logp_fn, grad_fn, metric, rng):
-    eps = 1.0
+def _find_reasonable_eps(model, q, logp, grad, metric, rng):
+    """Step size, doubled or halved from 1, at which a one-step trial from
+    ``q`` (log density ``logp``, gradient ``grad``) crosses acceptance 1/2."""
     p = metric.sample(rng)
-    h0 = -logp_fn(q) + metric.kinetic(p)
-    q1, p1, _, ok = _leapfrog(q, p, grad_fn(q), eps, metric, 1, grad_fn)
-    h1 = -logp_fn(q1) + metric.kinetic(p1) if ok else np.inf
-    accept = np.exp(min(0.0, h0 - h1))
-    direction = 1.0 if accept > 0.5 else -1.0
+    h0 = -logp + metric.kinetic(p)
+
+    def accepts(eps):
+        q1, p1, _, ok = _leapfrog(q, p, grad, eps, metric, 1, model.grad)
+        h1 = -model.log_posterior(q1) + metric.kinetic(p1) if ok else np.inf
+        return np.exp(min(0.0, h0 - h1)) > 0.5
+
+    eps = 1.0
+    up = accepts(eps)
     for _ in range(50):
-        eps *= 2.0 ** direction
-        q1, p1, _, ok = _leapfrog(q, p, grad_fn(q), eps, metric, 1, grad_fn)
-        h1 = -logp_fn(q1) + metric.kinetic(p1) if ok else np.inf
-        accept = np.exp(min(0.0, h0 - h1))
-        if (direction > 0 and accept <= 0.5) or (direction < 0 and accept > 0.5):
+        eps *= 2.0 if up else 0.5
+        if accepts(eps) != up:
             break
     return max(eps, 1e-8)
 
@@ -259,7 +256,7 @@ def _run_chain(model, warmup, iters, rng, q0, metric, adapt_mass,
     logp = logp_fn(q)
     grad = grad_fn(q)
 
-    eps = _find_reasonable_eps(q, logp_fn, grad_fn, metric, rng)
+    eps = _find_reasonable_eps(model, q, logp, grad, metric, rng)
     da = _DualAveraging(eps, delta=target_accept)
 
     # simplified windowed mass adaptation: settle, collect, switch
@@ -297,7 +294,7 @@ def _run_chain(model, warmup, iters, rng, q0, metric, adapt_mass,
             if adapt_mass and it == w2 - 1 and len(window) > 10:
                 var = np.var(np.asarray(window), axis=0)
                 metric = _DiagMetric(np.clip(var, 1e-8, None))
-                eps = _find_reasonable_eps(q, logp_fn, grad_fn, metric, rng)
+                eps = _find_reasonable_eps(model, q, logp, grad, metric, rng)
                 da = _DualAveraging(eps, delta=target_accept)
             if it == warmup - 1:
                 eps = da.eps_bar
@@ -341,7 +338,7 @@ def sample_mcmc(model, chains=4, warmup=1000, iters=1000, seed=0,
         # handles weakly identified coefficient-sum directions
         metric = _DenseMetric(-fd_hessian(model.grad, centers))
 
-    all_draws, all_chain, total_div = [], [], 0
+    all_draws, total_div = [], 0
     accept_rates, step_sizes = [], []
     for c in range(chains):
         rng = np.random.default_rng([seed, c])
@@ -353,13 +350,11 @@ def sample_mcmc(model, chains=4, warmup=1000, iters=1000, seed=0,
             model, warmup, iters, rng, q0, metric, adapt_mass,
             target_accept, traj_length)
         all_draws.append(draws)
-        all_chain.append(np.full(iters, c))
         total_div += n_div
         accept_rates.append(acc)
         step_sizes.append(eps)
 
-    out = PosteriorDraws(np.concatenate(all_draws),
-                         np.concatenate(all_chain),
+    out = PosteriorDraws(np.concatenate(all_draws), chains,
                          layout=getattr(model, "layout", None))
     from mrpkit.diagnostics import compute_diagnostics
     div_frac = total_div / max(chains * iters, 1)
@@ -398,39 +393,43 @@ def save_draws(draws: PosteriorDraws, bin_path, json_path) -> None:
     arr = np.ascontiguousarray(draws.draws, dtype="<f8")
     with open(bin_path, "wb") as f:
         f.write(arr.tobytes())
-    header = {
+    write_json(json_path, {
         "n_draws": int(draws.n_draws),
         "n_params": int(draws.n_params),
+        "n_chains": int(draws.n_chains),
         "dtype": "float64_le",
         "order": "C",
-        "chain_id": draws.chain_id.tolist(),
         "blocks": draws.layout.block_dict() if draws.layout is not None else None,
-    }
-    if draws.diagnostics is not None:
-        header["diagnostics"] = draws.diagnostics
-    write_json(json_path, header)
+    })
 
 
 def load_draws(bin_path, json_path, layout=None) -> PosteriorDraws:
-    """Draws that ``save_draws`` wrote; ValueError naming the file whose
-    header is not one, or whose size or blocks do not match."""
+    """Draws that ``save_draws`` wrote; ValueError naming the file that
+    cannot be read, whose header is not one, or whose size or blocks do not
+    match."""
     try:
         with open(json_path, encoding="utf-8") as f:
             header = json.load(f)
-        D, P, chain_id, blocks = (
-            header[k] for k in ("n_draws", "n_params", "chain_id", "blocks"))
+        D, P, C, blocks = (header[k] for k in
+                           ("n_draws", "n_params", "n_chains", "blocks"))
+    except OSError as err:
+        raise ValueError(f"{json_path}: cannot be read: {err.strerror}") \
+            from None
     except (ValueError, LookupError, TypeError) as err:
         raise ValueError(f"{json_path}: not a draws header: {err!r}") from None
     if not (all(type(v) is int and v >= 0 for v in (D, P))
-            and isinstance(chain_id, list) and len(chain_id) == D
+            and type(C) is int and C >= 1 and D % C == 0
             and (blocks is None or isinstance(blocks, dict))):
-        raise ValueError(f"{json_path}: n_draws, n_params, chain_id or "
-                         f"blocks has the wrong type or length")
-    raw = np.fromfile(bin_path, dtype="<f8")
+        raise ValueError(f"{json_path}: n_draws, n_params, n_chains or "
+                         f"blocks has the wrong type or value")
+    try:
+        raw = np.fromfile(bin_path, dtype="<f8")
+    except OSError as err:
+        raise ValueError(f"{bin_path}: cannot be read: {err.strerror}") \
+            from None
     if raw.size != D * P:
         raise ValueError(f"{bin_path}: expected {D * P} values, got {raw.size}")
     if layout is not None and blocks is not None \
             and layout.block_dict() != blocks:
         raise ValueError(f"{json_path}: blocks do not match the layout")
-    return PosteriorDraws(raw.reshape(D, P), np.asarray(chain_id),
-                          layout=layout, diagnostics=header.get("diagnostics"))
+    return PosteriorDraws(raw.reshape(D, P), C, layout=layout)

@@ -21,6 +21,8 @@ from mrpkit.synthetic import Scenario, make_cells, make_states, simulate_poll
 
 log = logging.getLogger(__name__)
 
+UNIFORMITY_BINS = 10  # rank histogram bins of uniformity_pvalues
+
 
 def draw_from_prior(scenario: Scenario, prior: PriorConfig, states, rng):
     """Full parameter vector from the joint prior of the fitted model."""
@@ -111,16 +113,17 @@ def chi2_sf(x: float, df: int) -> float:
     return out
 
 
-def uniformity_pvalues(ranks, n_rank_draws=19, n_bins=10) -> np.ndarray:
-    """Chi-square goodness-of-fit p-value of the rank histogram, per
-    parameter. Ranks take values 0..n_rank_draws (n_rank_draws+1 outcomes)."""
+def uniformity_pvalues(ranks, n_rank_draws=19) -> np.ndarray:
+    """Chi-square goodness-of-fit p-value of the rank histogram in
+    UNIFORMITY_BINS bins, per parameter. Ranks take values 0..n_rank_draws
+    (n_rank_draws+1 outcomes)."""
     reps, P = ranks.shape
     levels = n_rank_draws + 1
-    edges = np.linspace(0, levels, n_bins + 1)
-    expected = reps / n_bins
+    edges = np.linspace(0, levels, UNIFORMITY_BINS + 1)
+    expected = reps / UNIFORMITY_BINS
     pvals = np.empty(P)
     for j in range(P):
         obs, _ = np.histogram(ranks[:, j], bins=edges)
         stat = float(np.sum((obs - expected) ** 2) / expected)
-        pvals[j] = chi2_sf(stat, n_bins - 1)
+        pvals[j] = chi2_sf(stat, UNIFORMITY_BINS - 1)
     return pvals

@@ -236,14 +236,25 @@ def test_poststratify_calibrated_matches_recorded(fitted_run, tmp_path):
         w.writerow(["state", "rep_share"])
         for lbl, s in zip(states.labels, shares):
             w.writerow([lbl, repr(float(s))])
-    assert main(["poststratify", "--config", fitcfg, "--grouping", "state",
-                 "--recorded", str(rec)]) == 0
-    with open(outdir / "estimates_state.csv", newline="") as f:
-        rows = list(csv.DictReader(f))
-    got = {r["state_label"]: float(r["mean"]) for r in rows}
-    for lbl, s in zip(states.labels, shares):
-        assert abs(got[lbl] - s) < 1e-8
-    assert all(r["sd"] == "0.0" for r in rows)
+    # region and national groups are unions of whole calibrated states
+    for grouping in ("state", "region", ""):
+        assert main(["poststratify", "--config", fitcfg, "--grouping",
+                     grouping, "--recorded", str(rec)]) == 0
+        name = grouping or "national"
+        with open(outdir / f"estimates_{name}.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert all(r["sd"] == "0.0" for r in rows)
+        if grouping == "state":
+            got = {r["state_label"]: float(r["mean"]) for r in rows}
+            for lbl, s in zip(states.labels, shares):
+                assert abs(got[lbl] - s) < 1e-8
+            weight = np.array([float(r["weight"]) for r in rows])
+            continue
+        group = states.region_id if grouping else np.ones(len(shares))
+        for r in rows:
+            m = group == (int(r["region"]) if grouping else 1)
+            want = (weight[m] * shares[m]).sum() / weight[m].sum()
+            assert abs(float(r["mean"]) - want) < 1e-8
 
 
 def test_poststratify_without_survey(fitted_run, tmp_path):
@@ -336,6 +347,29 @@ def _refit_copy(fitted_run, tmp_path):
     return data, run, _fit_config(tmp_path, data, run)
 
 
+@pytest.mark.parametrize("problem", [
+    "recorded missing", "recorded a directory", "states a directory",
+    "no draws.bin", "no draws.json"])
+def test_unreadable_input_is_an_input_error(fitted_run, tmp_path, capsys,
+                                            problem):
+    data, run, cfg = _refit_copy(fitted_run, tmp_path)
+    argv = ["poststratify", "--config", cfg]
+    if problem.startswith("recorded"):
+        path = tmp_path / ("missing.csv" if problem.endswith("missing")
+                           else "data")
+        argv += ["--recorded", str(path)]
+    elif problem == "states a directory":
+        path = data / "states.csv"
+        path.unlink()
+        path.mkdir()
+        argv[0] = "fit"
+    else:
+        path = run / problem.split()[1]
+        path.unlink()
+    assert main(argv) == 2
+    assert f"error: {path}: cannot be read" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,name", [
     (["poststratify", "--grouping", "state"], "cells"),
     (["poststratify", "--grouping", "state"], "states"),
@@ -368,7 +402,9 @@ _BAD_HEADERS = {  # problem: (edit of the parsed draws.json, text of error)
     "no n_draws": (lambda h: h.pop("n_draws"), "n_draws"),
     "text n_draws": (lambda h: h.update(n_draws=str(h["n_draws"])),
                      "n_draws"),
-    "short chain_id": (lambda h: h["chain_id"].pop(), "chain_id"),
+    "uneven n_chains": (lambda h: h.update(n_chains=h["n_draws"] + 1),
+                        "n_chains"),
+    "no n_chains": (lambda h: h.pop("n_chains"), "n_chains"),
     "no blocks": (lambda h: h.pop("blocks"), "blocks"),
     "not JSON": (None, "not a draws header"),
 }
@@ -463,6 +499,23 @@ def test_benchmark_hooks_resolve():
     for module, attr, _, _ in instrument.TARGETS:
         owner, leaf = instrument._resolve(module, attr)
         assert callable(getattr(owner, leaf, None)), f"{module}.{attr}"
+
+
+def test_benchmark_sbc_launcher_runs(tmp_path):
+    # perfbench/launch.py calls make_cells, run_sbc and the draws' fields
+    # directly, so a change there fails every sbc-m1 operation
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "launch.py"),
+         "--result", str(result), "sbc", "1", "1", "2", "--smoke"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(result.read_text())
+    fits = out["rounds"][0]["fits"]
+    assert out["exit"] == 0 and out["grad_calls"] > 0
+    assert len(fits) == 2 and all(f["finite"] for f in fits)
 
 
 def test_reporting_commands_load_no_scipy(fitted_run, tmp_path):

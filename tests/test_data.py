@@ -509,7 +509,7 @@ def test_load_states_standardizes(tmp_path):
     assert st.labels == ["AA", "BB", "CC"]
     assert abs(st.avg_income.mean()) < 1e-12
     assert abs(st.avg_income.std(ddof=1) - 1.0) < 1e-12
-    assert st.index_of("CC") == 3
+    assert st.label_index["CC"] == 3
 
 
 def test_load_states_rejects_degenerate_share(tmp_path):

@@ -59,16 +59,14 @@ def test_ess_autocorrelated_much_smaller():
 
 
 def test_compute_diagnostics_requires_two_chains():
-    d = PosteriorDraws(np.random.default_rng(0).standard_normal((50, 2)),
-                       np.zeros(50, dtype=int))
+    d = PosteriorDraws(np.random.default_rng(0).standard_normal((50, 2)), 1)
     with pytest.raises(ValueError):
         compute_diagnostics(d)
 
 
 def test_compute_diagnostics_shapes():
     rng = np.random.default_rng(5)
-    draws = PosteriorDraws(rng.standard_normal((400, 3)),
-                           np.repeat([0, 1], 200))
+    draws = PosteriorDraws(rng.standard_normal((400, 3)), 2)
     out = compute_diagnostics(draws)
     assert out["rhat"].shape == (3,)
     assert out["ess"].shape == (3,)
@@ -77,8 +75,7 @@ def test_compute_diagnostics_shapes():
 
 def test_summarize_and_table():
     rng = np.random.default_rng(6)
-    draws = PosteriorDraws(rng.standard_normal((200, 2)),
-                           np.repeat([0, 1], 100))
+    draws = PosteriorDraws(rng.standard_normal((200, 2)), 2)
     draws.diagnostics = compute_diagnostics(draws)
     s = draw_summary(draws.draws)
     assert s["mean"].shape == (2,)
@@ -89,7 +86,7 @@ def test_summarize_and_table():
 
 
 def test_table_handles_nan_rhat():
-    draws = PosteriorDraws(np.ones((40, 1)), np.repeat([0, 1], 20))
+    draws = PosteriorDraws(np.ones((40, 1)), 2)
     draws.diagnostics = compute_diagnostics(draws)
     table = diagnostics_table(draws)
     assert "n/a" in table

@@ -302,7 +302,8 @@ def _probe_points(model, rng):
     clip bound) and points holding a NaN."""
     lay = model.layout
     log_scales = [lay.sl(n).start for n in ("sigma_alpha", "slope_sigma",
-                                            "sigma_cat") if lay.has(n)]
+                                            "sigma_cat")
+                  if n in lay.block_dict()]
     P = model.n_params
     pts = [s * rng.standard_normal(P) for s in (0.3, 1.0, 3.0, 50.0)]
     for v in (301.0, -301.0, 750.0, -750.0, np.inf, -np.inf):

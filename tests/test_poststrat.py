@@ -39,7 +39,7 @@ def test_predict_cells_zero_params():
     states = make_state_table(3)
     layout = build_layout(ModelSpec("M1"), states)
     cells = make_cell_table(3)
-    draws = PosteriorDraws(np.zeros((1, layout.n_params)), [0], layout)
+    draws = PosteriorDraws(np.zeros((1, layout.n_params)), 1, layout)
     est = predict_cells(draws, cells, layout)
     assert np.all(est.theta == 0.5)
 
@@ -50,7 +50,7 @@ def test_predict_cells_single_alpha():
     cells = make_cell_table(8)
     params = np.zeros(layout.n_params)
     params[layout.sl("alpha")][6] = 0.5
-    est = predict_cells(PosteriorDraws(params[None, :], [0], layout),
+    est = predict_cells(PosteriorDraws(params[None, :], 1, layout),
                         cells, layout)
     mask = cells.state_id == 7
     assert np.allclose(est.theta[0, mask], expit(0.5))
@@ -66,8 +66,7 @@ def test_predict_cells_naive_oracle():
     cells = make_cell_table(50, use_ethnicity=True, seed=1)
     rng = np.random.default_rng(10)
     mat = 0.3 * rng.standard_normal((200, layout.n_params))
-    est = predict_cells(PosteriorDraws(mat, np.zeros(200, dtype=int), layout),
-                        cells, layout)
+    est = predict_cells(PosteriorDraws(mat, 1, layout), cells, layout)
 
     beta_sl = layout.sl("beta")
     alpha_sl = layout.sl("alpha")
@@ -88,7 +87,7 @@ def test_predict_cells_cross_mismatch():
     states = make_state_table(3)
     layout = build_layout(ModelSpec("M1"), states)
     cells = make_cell_table(5)  # refers to states 4..5, outside the layout
-    draws = PosteriorDraws(np.zeros((1, layout.n_params)), [0], layout)
+    draws = PosteriorDraws(np.zeros((1, layout.n_params)), 1, layout)
     with pytest.raises(ValueError):
         predict_cells(draws, cells, layout)
 

@@ -184,6 +184,22 @@ def test_mcmc_diffuse_init():
     assert abs(draws.draws.mean() - 3.0) < 0.1
 
 
+def test_mcmc_evaluates_each_point_once():
+    # the step-size searches start from the log density and gradient the
+    # chain already holds
+    model = _GaussianStub(np.zeros(2), np.eye(2))
+    seen = {"grad": [], "log_posterior": []}
+    for name, calls in seen.items():
+        def counted(x, fn=getattr(model, name), calls=calls):
+            calls.append(np.asarray(x, dtype=float).tobytes())
+            return fn(x)
+        setattr(model, name, counted)
+    sample_mcmc(model, chains=2, warmup=100, iters=50, seed=3,
+                init="diffuse")
+    for name, calls in seen.items():
+        assert len(calls) == len(set(calls)), name
+
+
 @pytest.mark.parametrize("init", ["zeros", np.zeros(1)],
                          ids=["name", "array"])
 def test_mcmc_rejects_unknown_init(init):
@@ -202,8 +218,7 @@ def test_save_load_round_trip(tmp_path, small_dataset):
     save_draws(draws, bp, jp)
     back = load_draws(bp, jp, model.layout)
     assert np.array_equal(back.draws, draws.draws)
-    assert np.array_equal(back.chain_id, draws.chain_id)
-    assert back.diagnostics["divergent"] == draws.diagnostics["divergent"]
+    assert back.n_chains == draws.n_chains == 2
 
 
 def test_load_rejects_layout_mismatch(tmp_path, small_dataset):
@@ -218,6 +233,9 @@ def test_load_rejects_layout_mismatch(tmp_path, small_dataset):
 
 
 def test_posterior_draws_by_chain():
-    d = PosteriorDraws(np.arange(12.0).reshape(6, 2), [0, 0, 0, 1, 1, 1])
+    d = PosteriorDraws(np.arange(12.0).reshape(6, 2), 2)
     assert d.n_chains == 2
     assert d.by_chain().shape == (2, 3, 2)
+    assert np.array_equal(d.by_chain()[1], [[6, 7], [8, 9], [10, 11]])
+    with pytest.raises(ValueError, match="equal chains"):
+        PosteriorDraws(np.zeros((5, 2)), 2)
