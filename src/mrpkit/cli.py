@@ -90,14 +90,15 @@ SAMPLER_MIN = {"chains": 2, "warmup": 0, "iters": 1, "seed": 0, "S": 2,
 
 
 def _read_ini(path) -> configparser.ConfigParser:
-    """Parsed config; DataError naming the file if it is missing, cannot be
+    """Parsed config; DataError naming the file if it cannot be read or
     parsed, or holds a section or key that no command reads."""
-    if not os.path.exists(path):
-        raise DataError(f"config file not found: {path}")
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read(path)
-    except configparser.Error as err:
+        with open(path, encoding="utf-8") as f:
+            cp.read_file(f)
+    except OSError as err:
+        raise DataError(f"{path}: cannot be read: {err.strerror}") from None
+    except (configparser.Error, UnicodeDecodeError) as err:
         raise DataError(f"{path}: cannot parse config: {err}") from None
     known = RUN_KEYS.keys() | SCENARIO_KEYS.keys()
     for section in cp.sections():
@@ -294,8 +295,10 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     est = predict_cells(draws, dataset.cells, layout)
     agg = poststratify(est, ("state", "income"))
     s = agg.summary()
-    by_state = poststratify(est, ("state",))
-    state_mean = by_state.summary()["mean"]  # keys are states 1..S in order
+    # keys are the full (state, income) cross in order; a state's mean is
+    # the voter-weighted mean of its income groups' means
+    w = agg.weight.reshape(-1, N_INCOME)
+    state_mean = (w * s["mean"].reshape(w.shape)).sum(axis=1) / w.sum(axis=1)
 
     # respondents and Republican votes per (state, income), over ethnicity
     n_si, k_si = (c.reshape(dataset.states.n_states, N_INCOME, -1).sum(axis=2)

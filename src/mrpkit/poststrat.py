@@ -8,7 +8,6 @@ never from aggregating summaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from mrpkit.samplers import PosteriorDraws
 
 CALIBRATE_TOL = 1e-10     # |state aggregate - recorded share| to stop at
 CALIBRATE_MAX_ITER = 200  # safeguarded Newton steps per state
+BLOCK = 256               # draws that poststratify aggregates at a time
 
 
 def draw_summary(draws: np.ndarray) -> dict:
@@ -45,17 +45,9 @@ class CellEstimates:
         if self.eta.shape[1] != len(self.cells):
             raise ValueError("eta width does not match number of cells")
 
-    @cached_property
-    def theta(self) -> np.ndarray:
-        # computed on first access; nothing assigns eta after construction
-        return expit(self.eta)
-
     @property
-    def n_draws(self) -> int:
-        return self.eta.shape[0]
-
-    def summary(self) -> dict:
-        return draw_summary(self.theta)
+    def theta(self) -> np.ndarray:
+        return expit(self.eta)
 
 
 @dataclass
@@ -110,7 +102,7 @@ def poststratify(cell_estimates: CellEstimates, grouping=(),
 
     ``grouping`` is a sequence of dimension names out of
     {state, income, ethnicity, region}; empty means a single national group.
-    Groups are in sorted key order.
+    Groups are in sorted key order. Draws are summed ``BLOCK`` at a time.
     """
     cells = cell_estimates.cells
     dims = tuple(grouping)
@@ -125,12 +117,14 @@ def poststratify(cell_estimates: CellEstimates, grouping=(),
     if len(zero):
         raise ValueError(f"group {keys[zero[0]]} has zero total voter weight")
 
-    theta = cell_estimates.theta  # (D, C)
-    D = theta.shape[0]
-    num = np.zeros((D, G))
-    wth = theta * N  # broadcast over draws
-    for g in range(G):
-        num[:, g] = wth[:, gidx == g].sum(axis=1)
+    # every group has a cell, so the segment starts rise strictly
+    order = np.argsort(gidx, kind="stable")
+    starts = np.searchsorted(gidx[order], np.arange(G))
+    eta = cell_estimates.eta
+    num = np.empty((eta.shape[0], G))
+    for lo in range(0, len(eta), BLOCK):
+        wth = expit(eta[lo:lo + BLOCK][:, order]) * N[order]
+        num[lo:lo + BLOCK] = np.add.reduceat(wth, starts, axis=1)
     return AggregateEstimates(dims, keys, num / weight, weight)
 
 

@@ -423,13 +423,14 @@ def load_draws(bin_path, json_path, layout=None) -> PosteriorDraws:
         raise ValueError(f"{json_path}: n_draws, n_params, n_chains or "
                          f"blocks has the wrong type or value")
     try:
-        raw = np.fromfile(bin_path, dtype="<f8")
+        raw = np.fromfile(bin_path, dtype="u1")  # a partial value counts too
     except OSError as err:
         raise ValueError(f"{bin_path}: cannot be read: {err.strerror}") \
             from None
-    if raw.size != D * P:
-        raise ValueError(f"{bin_path}: expected {D * P} values, got {raw.size}")
+    if raw.size != 8 * D * P:
+        raise ValueError(f"{bin_path}: expected {8 * D * P} bytes, got "
+                         f"{raw.size}")
     if layout is not None and blocks is not None \
             and layout.block_dict() != blocks:
         raise ValueError(f"{json_path}: blocks do not match the layout")
-    return PosteriorDraws(raw.reshape(D, P), C, layout=layout)
+    return PosteriorDraws(raw.view("<f8").reshape(D, P), C, layout=layout)

@@ -105,8 +105,15 @@ def test_fit_corrupt_survey_no_partial_outputs(tmp_path):
     assert not outdir.exists()
 
 
-def test_fit_missing_config(tmp_path):
-    assert main(["fit", "--config", str(tmp_path / "none.ini")]) == 2
+def test_fit_missing_config(tmp_path, capsys):
+    # a config that cannot be opened is named, not read as an empty one
+    (tmp_path / "dir.ini").mkdir()
+    for name in ("none.ini", "dir.ini"):
+        path = str(tmp_path / name)
+        for command in ("fit", "simulate", "diagnose"):
+            assert main([command, "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert f"error: {path}: cannot be read" in err, (command, err)
 
 
 @pytest.mark.parametrize("command", ["fit", "simulate"])
@@ -428,6 +435,25 @@ def test_reporting_refuses_a_bad_draws_header(fitted_run, tmp_path, capsys,
     assert f"error: {path}: " in err and named in err
 
 
+@pytest.mark.parametrize("command", ["poststratify", "diagnose"])
+@pytest.mark.parametrize("problem", ["one inserted byte", "one byte cut"])
+def test_reporting_refuses_a_draws_bin_of_the_wrong_size(
+        fitted_run, tmp_path, capsys, command, problem):
+    # np.fromfile drops a trailing partial value, so only the byte count
+    # tells an inserted byte
+    _, run, cfg = _refit_copy(fitted_run, tmp_path)
+    path = run / "draws.bin"
+    raw = path.read_bytes()
+    size = len(raw)
+    inserted = problem == "one inserted byte"
+    path.write_bytes(raw[:8] + b"\0" + raw[8:] if inserted else raw[:-1])
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: expected {size} bytes" in err
+    assert not list(run.glob("estimates_*")) and \
+        not (run / "diagnostics.csv").exists()
+
+
 def test_interrupted_refit_leaves_no_usable_run(fitted_run, tmp_path, capsys,
                                                 monkeypatch):
     data, run, cfg = _refit_copy(fitted_run, tmp_path)
@@ -501,20 +527,46 @@ def test_benchmark_hooks_resolve():
         assert callable(getattr(owner, leaf, None)), f"{module}.{attr}"
 
 
-def test_benchmark_sbc_launcher_runs(tmp_path):
-    # perfbench/launch.py calls make_cells, run_sbc and the draws' fields
-    # directly, so a change there fails every sbc-m1 operation
+def _launch(tmp_path, *args):
+    """Result dict of ``perfbench/launch.py --result <tmp> ARGS...`` run
+    on this checkout's sources; asserts that it exits 0."""
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     result = tmp_path / "result.json"
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "launch.py"),
-         "--result", str(result), "sbc", "1", "1", "2", "--smoke"],
+         "--result", str(result), *args],
         env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(result.read_text())
+    assert out["exit"] == 0
+    return out
+
+
+@pytest.mark.parametrize("command,spans", [
+    (["poststratify", "--grouping", "state"], ["poststrat.predict_cells"]),
+    (["diagnose"], ["poststrat.predict_cells", "data.load_dataset"])],
+    ids=["poststratify", "diagnose"])
+def test_benchmark_traced_cli_runs(fitted_run, tmp_path, command, spans):
+    # a traced run calls each TARGETS size_of on the call's result, so a
+    # changed return type fails only there
+    _, _, cfg = _refit_copy(fitted_run, tmp_path)
+    trace = tmp_path / "spans.npz"
+    _launch(tmp_path, "--trace", str(trace), "cli", "--", command[0],
+            "--config", cfg, *command[1:])
+    with np.load(trace) as z:
+        names = [str(n) for n in z["names"]]
+        for span in spans:
+            size = z["size"][z["name_id"] == names.index(span)]
+            assert len(size) == 1 and size[0] > 0, span
+
+
+def test_benchmark_sbc_launcher_runs(tmp_path):
+    # perfbench/launch.py calls make_cells, run_sbc and the draws' fields
+    # directly, so a change there fails every sbc-m1 operation
+    out = _launch(tmp_path, "sbc", "1", "1", "2", "--smoke")
     fits = out["rounds"][0]["fits"]
-    assert out["exit"] == 0 and out["grad_calls"] > 0
+    assert out["grad_calls"] > 0
     assert len(fits) == 2 and all(f["finite"] for f in fits)
 
 

@@ -102,20 +102,22 @@ def test_poststratify_two_cell_identity():
     assert abs(agg.theta[0, 0] - 0.75) < 1e-12
 
 
-def test_theta_computed_once_for_two_poststratify_calls(monkeypatch):
+def test_poststratify_streams_blocks_of_draws(monkeypatch):
+    # expit never sees more than BLOCK draws, and sees every draw once
     cells = make_cell_table(4, seed=3)
-    eta = np.random.default_rng(4).standard_normal((6, len(cells)))
+    D = 2 * poststrat.BLOCK + 3
+    eta = np.random.default_rng(4).standard_normal((D, len(cells)))
     est = _estimates(cells, eta)
-    calls = []
+    rows = []
 
     def counted(x):
-        calls.append(x.shape)
+        rows.append(x.shape[0])
         return expit(x)
 
     monkeypatch.setattr(poststrat, "expit", counted)
-    poststratify(est, ("state",))
-    poststratify(est, ("income",))
-    assert calls == [(6, len(cells))]
+    agg = poststratify(est, ("state",))
+    assert max(rows) <= poststrat.BLOCK and sum(rows) == D
+    assert agg.theta.shape == (D, 4)
 
 
 def test_poststratify_constant_theta_invariance():
@@ -125,22 +127,31 @@ def test_poststratify_constant_theta_invariance():
     assert np.allclose(agg.theta, 0.37, atol=1e-12)
 
 
-def test_poststratify_brute_force_oracle():
-    cells = make_cell_table(50, seed=7)
-    rng = np.random.default_rng(8)
-    eta = rng.standard_normal((5, 250))
-    est = _estimates(cells, eta)
-    agg = poststratify(est, ("state",))
+@pytest.mark.parametrize("dims", [(), ("state",), ("income",),
+                                  ("ethnicity", "state"), ("region",)],
+                         ids=["national", "state", "income", "ethnicity,state",
+                              "region"])
+def test_poststratify_brute_force_oracle(dims):
+    # groups whose cells are not contiguous, and a last, partial block
+    states = make_state_table(6, n_regions=3, seed=7)
+    cells = make_cell_table(6, use_ethnicity=True, seed=7)
+    D = poststrat.BLOCK + 7
+    eta = np.random.default_rng(8).standard_normal((D, len(cells)))
+    agg = poststratify(_estimates(cells, eta), dims, states)
     theta = expit(eta)
+    label = {"state": cells.state_id, "income": cells.income_cat,
+             "ethnicity": cells.ethnicity,
+             "region": states.region_id[cells.state_id - 1]}
     # spreadsheet-style recomputation with a dict of running sums
-    for d in range(5):
-        sums, wts = {}, {}
-        for c in range(250):
-            s = int(cells.state_id[c])
-            sums[s] = sums.get(s, 0.0) + cells.n_voters[c] * theta[d, c]
-            wts[s] = wts.get(s, 0.0) + cells.n_voters[c]
-        for g, key in enumerate(agg.keys):
-            assert abs(agg.theta[d, g] - sums[key[0]] / wts[key[0]]) < 1e-12
+    sums, wts = {}, {}
+    for c in range(len(cells)):
+        key = tuple(int(label[d][c]) for d in dims)
+        sums[key] = sums.get(key, 0.0) + cells.n_voters[c] * theta[:, c]
+        wts[key] = wts.get(key, 0.0) + cells.n_voters[c]
+    assert agg.keys == sorted(sums)
+    for g, key in enumerate(agg.keys):
+        assert np.max(np.abs(agg.theta[:, g] - sums[key] / wts[key])) < 1e-12
+        assert agg.weight[g] == pytest.approx(wts[key], rel=1e-15)
 
 
 def test_poststratify_nesting_consistency():
