@@ -141,10 +141,11 @@ def read_config(path) -> RunConfig:
     """RunConfig from an INI file; DataError naming the file, section and
     key of a value that does not convert or is out of range."""
     cfg = _read_values(_read_ini(path), path, RUN_KEYS, RunConfig())
-    try:
-        cfg.prior  # PriorConfig checks the prior's values
-    except ValueError as err:
-        raise DataError(f"{path}: [prior] {err}") from None
+    for section, name in (("model", "spec"), ("prior", "prior")):
+        try:
+            getattr(cfg, name)  # ModelSpec and PriorConfig check the values
+        except ValueError as err:
+            raise DataError(f"{path}: [{section}] {err}") from None
     return cfg
 
 
@@ -302,7 +303,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
 
     # respondents and Republican votes per (state, income), over ethnicity
     n_si, k_si = (c.reshape(dataset.states.n_states, N_INCOME, -1).sum(axis=2)
-                  for c in dataset.cell_counts())
+                  for c in (dataset.survey.n, dataset.survey.k))
 
     order = sorted(range(len(agg.keys)),
                    key=lambda g: (-state_mean[agg.keys[g][0] - 1], agg.keys[g]))
@@ -335,12 +336,18 @@ def cmd_simulate(config_path) -> int:
         raise DataError("simulate config needs a [scenario] section")
     sim = _read_values(cp, config_path, SCENARIO_KEYS, SimpleNamespace(
         kind="redblue", S=50, n=30000, seed=0, outdir="simdata", rung="M1"))
-    if sim.kind == "redblue":
-        scenario = redblue_scenario(S=sim.S, n=sim.n, seed=sim.seed)
-    elif sim.kind == "basic":
-        scenario = Scenario(S=sim.S, rung=sim.rung, n=sim.n, seed=sim.seed)
-    else:
-        raise DataError(f"unknown scenario kind {sim.kind!r}")
+    try:  # the world is checked before its directory is made
+        if sim.kind == "redblue":
+            scenario = redblue_scenario(S=sim.S, n=sim.n, seed=sim.seed)
+        elif sim.kind == "basic":
+            scenario = Scenario(S=sim.S, rung=sim.rung, n=sim.n, seed=sim.seed)
+            scenario.spec  # ModelSpec checks the rung
+        else:
+            raise ValueError("expected redblue or basic")
+    except ValueError as err:
+        key = "rung" if sim.kind == "basic" else "kind"
+        raise DataError(f"{config_path}: [scenario] {key} = "
+                        f"{getattr(sim, key)!r}: {err}") from None
     paths = write_scenario_files(scenario, sim.outdir)
     for p in paths.values():
         print(p)

@@ -4,9 +4,9 @@ Every input table is read by ``_read_rows`` from UTF-8 CSV with a header row.
 Tables are immutable numpy-array containers after construction; loaders
 validate category ranges, key uniqueness, and cross completeness up front so
 downstream code can index without checks.
-The cell order lives here (``cell_position``, ``cell_cross``), as do the
-respondent counts per cell (``Dataset.cell_counts``) and the state-label
-map (``StateTable.label_index``).
+The cell order lives here (``cell_position``, ``cell_cross``), as does the
+state-label map (``StateTable.label_index``). A poll is its counts per cell
+(``Survey``); only ``load_survey`` and ``write_survey`` see respondent rows.
 """
 
 from __future__ import annotations
@@ -58,20 +58,17 @@ class StateTable:
 
 
 class Survey:
-    """Validated survey responses stored as parallel arrays, one entry per
-    respondent: state index (1-based), income category 1..5, ethnicity 1..4
-    (0 when the dimension is inactive), and binary vote (1 = Republican
-    candidate, 0 = Democratic candidate)."""
+    """A poll as counts per cell in canonical cell order: respondents ``n``
+    and Republican votes ``k``, plus the number of rows dropped for an empty
+    vote. ``len`` is the number of respondents."""
 
-    def __init__(self, state_id, income_cat, ethnicity, vote, n_dropped: int = 0):
-        self.state_id = np.asarray(state_id, dtype=int)
-        self.income_cat = np.asarray(income_cat, dtype=int)
-        self.ethnicity = np.asarray(ethnicity, dtype=int)
-        self.vote = np.asarray(vote, dtype=int)
+    def __init__(self, n, k, n_dropped: int = 0):
+        self.n = np.asarray(n, dtype=int)
+        self.k = np.asarray(k, dtype=int)
         self.n_dropped = n_dropped
 
     def __len__(self) -> int:
-        return len(self.vote)
+        return int(self.n.sum())
 
 
 def cell_position(state_id, income_cat, ethnicity,
@@ -126,21 +123,10 @@ class Dataset:
     states: StateTable
 
     def __post_init__(self):
-        # every observed combination must exist in the cell cross
-        s = self.survey
-        if len(s) and (s.state_id.max() > self.states.n_states):
-            bad = int(s.state_id.max())
-            raise DataError(f"survey references state index {bad} "
-                            f"but only {self.states.n_states} states are defined")
-
-    def cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, k) per cell in cell order: respondents and Republican votes."""
-        s = self.survey
-        idx = cell_position(s.state_id, s.income_cat, s.ethnicity,
-                            self.cells.use_ethnicity)
-        C = len(self.cells)
-        return (np.bincount(idx, minlength=C),
-                np.bincount(idx, weights=s.vote, minlength=C).astype(int))
+        n, k, C = self.survey.n, self.survey.k, len(self.cells)
+        if not n.shape == k.shape == (C,):
+            raise DataError(f"survey counts of shapes {n.shape} and "
+                            f"{k.shape} do not fit the {C} cells")
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +245,8 @@ def load_states(path) -> StateTable:
 
 
 def load_survey(path, spec, states: StateTable | None = None) -> Survey:
-    """Read survey.csv (state,income[,ethnicity],vote).
+    """Read survey.csv (state,income[,ethnicity],vote) as counts per cell
+    over ``states`` (without one, over states 1..the largest index read).
 
     Rows with an empty vote field (no stated preference) are dropped and
     counted; a warning reports the count. Any other malformed field is an
@@ -299,16 +286,20 @@ def load_survey(path, spec, states: StateTable | None = None) -> Survey:
             parsed.append(parse(key, r))
         index.append(ids[key])
     index = np.array(index, dtype=np.intp)
-    kept = np.array([p is not None for p in parsed], dtype=bool)[index]
-    table = np.array([p or (0, 0, 0, 0) for p in parsed],
-                     dtype=int).reshape(-1, 4)
-    state, income, eth, vote = table[index[kept]].T.copy()
+    kept = np.array([p is not None for p in parsed], dtype=bool)
+    table = np.array([p for p in parsed if p], dtype=int).reshape(-1, 4)
+    weight = np.bincount(index, minlength=len(parsed))[kept]  # rows each
+    n_states = states.n_states if states else int(table[:, 0].max(initial=0))
+    C = n_states * N_INCOME * (N_ETH if spec.use_ethnicity else 1)
+    pos = cell_position(*table[:, :3].T, spec.use_ethnicity)
+    n = np.bincount(pos, weight, minlength=C).astype(int)
+    k = np.bincount(pos, weight * table[:, 3], minlength=C).astype(int)
 
-    n_dropped = len(kept) - int(kept.sum())
+    n_dropped = len(index) - int(n.sum())
     if n_dropped:
         warnings.warn(f"{path}: dropped {n_dropped} row(s) with missing vote",
                       stacklevel=2)
-    return Survey(state, income, eth, vote, n_dropped=n_dropped)
+    return Survey(n, k, n_dropped=n_dropped)
 
 
 def load_cells(path, spec, states: StateTable | None = None) -> CellTable:
@@ -400,9 +391,9 @@ def load_dataset(survey_path, cells_path, states_path, spec) -> Dataset:
 # writers (round-trip support and synthetic-data output)
 
 def key_columns(table, states: StateTable | None, use_ethnicity: bool):
-    """Header and columns of a survey's or cell table's keys: state label
-    (the index when ``states`` is None), income and, if used, ethnicity.
-    Each label is one shared string; each code a cached small int."""
+    """Header and columns of a cell table's keys: state label (the index
+    when ``states`` is None), income and, if used, ethnicity. Each label is
+    one shared string; each code a cached small int."""
     labels = states.labels if states is not None else \
         [str(i) for i in range(1, int(table.state_id.max(initial=0)) + 1)]
     header = ["state", "income"] + (["ethnicity"] if use_ethnicity else [])
@@ -426,10 +417,15 @@ def write_states(states: StateTable, path) -> None:
                 states.prev_rep_share.tolist(), states.region_id.tolist()])
 
 
-def write_survey(survey: Survey, path, states: StateTable | None = None) -> None:
-    use_eth = bool(survey.ethnicity.max() > 0) if len(survey) else False
-    header, cols = key_columns(survey, states, use_eth)
-    _write_csv(path, header + ["vote"], cols + [survey.vote.tolist()])
+def write_survey(dataset: Dataset, path) -> None:
+    """One row per respondent of ``dataset.survey``: cells in canonical
+    order, each cell's Republican votes first."""
+    cells, n, k = dataset.cells, dataset.survey.n, dataset.survey.k
+    header, cols = key_columns(cells, dataset.states, cells.use_ethnicity)
+    vote = np.repeat(np.tile([1, 0], len(n)),
+                     np.column_stack([k, n - k]).ravel())
+    _write_csv(path, header + ["vote"],
+               [np.repeat(c, n).tolist() for c in cols] + [vote.tolist()])
 
 
 def write_cells(cells: CellTable, path, states: StateTable | None = None) -> None:

@@ -46,7 +46,7 @@ class ModelSpec:
         object.__setattr__(self, "state_predictors", tuple(self.state_predictors))
         for name in self.state_predictors:
             if name not in DEFAULT_STATE_PREDICTORS:
-                raise ValueError(f"unknown state predictor {name!r}")
+                raise ValueError(f"unknown state_predictors entry {name!r}")
 
     @property
     def varying_slope(self) -> bool:

@@ -85,7 +85,8 @@ class LogDensityModel:
         self.cells = dataset.cells
         self.W = predictor_matrix(dataset.states, spec)
 
-        self.n_c, self.k_c = (c.astype(float) for c in dataset.cell_counts())
+        self.n_c = dataset.survey.n.astype(float)
+        self.k_c = dataset.survey.k.astype(float)
         self._idx = unit_index(self.layout, self.cells.state_id,
                                self.cells.income_cat, self.cells.ethnicity)
 

@@ -190,8 +190,8 @@ def true_cell_theta(truth, scenario: Scenario, states=None, cells=None):
 def simulate_poll(truth, scenario: Scenario, states: StateTable | None = None,
                   cells: CellTable | None = None, rng=None) -> Dataset:
     """Respondents allocated to cells in proportion to adult population,
-    votes flipped at the cell probability. ``rng`` defaults to the
-    scenario's own poll stream."""
+    votes flipped at the cell probability; the poll is those two counts per
+    cell. ``rng`` defaults to the scenario's own poll stream."""
     states = states if states is not None else make_states(scenario)
     cells = cells if cells is not None else make_cells(scenario, states)
     theta = true_cell_theta(truth, scenario, states, cells)
@@ -199,14 +199,7 @@ def simulate_poll(truth, scenario: Scenario, states: StateTable | None = None,
 
     counts = rng.multinomial(scenario.n, cells.n_adults / cells.n_adults.sum())
     yes = rng.binomial(counts, theta)
-
-    # each cell's respondents are contiguous, its yes votes first
-    vote = np.repeat(np.tile([1, 0], len(cells)),
-                     np.column_stack([yes, counts - yes]).ravel())
-    survey = Survey(np.repeat(cells.state_id, counts),
-                    np.repeat(cells.income_cat, counts),
-                    np.repeat(cells.ethnicity, counts), vote)
-    return Dataset(survey, cells, states)
+    return Dataset(Survey(counts, yes), cells, states)
 
 
 def redblue_scenario(S=50, n=30000, seed=0) -> Scenario:
@@ -239,7 +232,7 @@ def write_scenario_files(scenario: Scenario, outdir) -> dict:
     paths = {k: os.path.join(outdir, f"{k}.csv")
              for k in ("survey", "cells", "states", "truth")}
     write_states(states, paths["states"])
-    write_survey(dataset.survey, paths["survey"], states)
+    write_survey(dataset, paths["survey"])
     write_cells(cells, paths["cells"], states)
     header, cols = key_columns(cells, states, scenario.use_ethnicity)
     with open(paths["truth"], "w", newline="", encoding="utf-8") as f:

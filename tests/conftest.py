@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mrpkit.data import CellTable, Dataset, StateTable, Survey, cell_cross
+from mrpkit.data import (CellTable, Dataset, StateTable, Survey, cell_cross,
+                         cell_position)
 from mrpkit.design import ModelSpec
 
 
@@ -25,14 +26,25 @@ def make_cell_table(S, use_ethnicity=False, seed=0):
     return CellTable(sid, inc, eth, n_adults, turnout)
 
 
+def survey_from_rows(cells, state_id, income_cat, ethnicity, vote):
+    """The poll of respondent rows: respondents and Republican votes per
+    cell of ``cells``, in its order."""
+    idx = cell_position(state_id, income_cat, ethnicity, cells.use_ethnicity)
+    C = len(cells)
+    return Survey(np.bincount(idx, minlength=C),
+                  np.bincount(idx, weights=vote, minlength=C).astype(int))
+
+
 def make_survey(S, n, cells=None, theta=0.5, seed=0):
-    """Respondents spread over states and incomes, votes at fixed rate."""
+    """Respondents spread over states and incomes, votes at fixed rate,
+    counted over ``cells`` (default: ``make_cell_table(S)``)."""
     rng = np.random.default_rng(seed)
     sid = rng.integers(1, S + 1, size=n)
     inc = rng.integers(1, 6, size=n)
     eth = np.zeros(n, dtype=int)
     vote = (rng.random(n) < theta).astype(int)
-    return Survey(sid, inc, eth, vote)
+    cells = cells if cells is not None else make_cell_table(S)
+    return survey_from_rows(cells, sid, inc, eth, vote)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 from scipy.special import expit, logit
 
-from mrpkit.data import CellTable, Dataset, StateTable, Survey
+from mrpkit.data import CellTable, Dataset, StateTable
 from mrpkit.design import ModelSpec, build_layout, eta_cells
 from mrpkit.model import LogDensityModel, PriorConfig
 from mrpkit.poststrat import (
@@ -29,7 +29,7 @@ from mrpkit.synthetic import (
     true_cell_theta,
 )
 
-from conftest import make_cell_table, make_state_table
+from conftest import make_cell_table, make_state_table, survey_from_rows
 
 
 def _report(num, ok, detail):
@@ -111,7 +111,8 @@ def test_criterion_3_grid_quadrature_oracle():
         sid += [s] * n
         inc += [i] * n
         vote += [1] * k + [0] * (n - k)
-    sv = Survey(sid, inc, np.zeros(len(sid), dtype=int), vote)
+    sv = survey_from_rows(cells, sid, inc, np.zeros(len(sid), dtype=int),
+                          vote)
     spec = ModelSpec("M1", state_predictors=())
     # the S=2 hierarchy has a pronounced scale funnel: a high acceptance
     # target and longer trajectories are needed for the scale and mean
@@ -301,7 +302,8 @@ def test_criterion_10_partial_pooling():
     sid += [10] * 5                    # small state, raw share 0.8
     vote += [1, 1, 1, 1, 0]
     inc = [3] * len(sid)
-    sv = Survey(sid, inc, np.zeros(len(sid), dtype=int), vote)
+    sv = survey_from_rows(cells, sid, inc, np.zeros(len(sid), dtype=int),
+                          vote)
     model = LogDensityModel(Dataset(sv, cells, states), ModelSpec("M1"))
     draws = sample_mcmc(model, chains=2, warmup=400, iters=600, seed=53)
     lay = model.layout

@@ -13,7 +13,8 @@ import pytest
 
 from mrpkit import cli
 from mrpkit.cli import main
-from mrpkit.data import load_states
+from mrpkit.data import load_states, load_survey
+from mrpkit.design import ModelSpec
 from mrpkit.synthetic import Scenario, write_scenario_files
 
 
@@ -21,11 +22,12 @@ def _sha(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
-def _sim_config(tmp_path, S=6, n=800, seed=3, kind="basic"):
+def _sim_config(tmp_path, S=6, n=800, seed=3, kind="basic", rung="M1"):
     outdir = tmp_path / "sim"
     cfg = tmp_path / "sim.ini"
     cfg.write_text(f"[scenario]\nkind = {kind}\nS = {S}\nn = {n}\n"
-                   f"seed = {seed}\noutdir = {outdir}\n", encoding="utf-8")
+                   f"seed = {seed}\nrung = {rung}\noutdir = {outdir}\n",
+                   encoding="utf-8")
     return str(cfg), outdir
 
 
@@ -141,14 +143,16 @@ def test_fit_config_rejects_unknown_keys(tmp_path, capsys, text, named):
 @pytest.mark.parametrize("key,value", [
     ("chains", "two"), ("chains", 0), ("chains", 1), ("warmup", -5),
     ("iters", 0), ("seed", -1), ("coef_scale", -1), ("coef_scale", "nan"),
+    ("rung", "M9"), ("state_predictors", "avg_income,foo"),
 ])
 def test_fit_config_rejects_bad_values(fitted_run, tmp_path, capsys, key,
                                        value):
     # each is refused before any data is read: no fit, no run directory
     _, _, datadir, _ = fitted_run
     outdir = tmp_path / "run"
-    setting = ({"extra": f"[prior]\ncoef_scale = {value}\n"}
-               if key == "coef_scale" else {key: value})
+    setting = {"coef_scale": {"extra": f"[prior]\ncoef_scale = {value}\n"},
+               "state_predictors": {"model": f"{key} = {value}\n"}
+               }.get(key, {key: value})
     cfg = _fit_config(tmp_path, datadir, outdir, **setting)
     assert main(["fit", "--config", cfg]) == 2
     err = capsys.readouterr().err
@@ -167,10 +171,12 @@ def test_simulate_config_rejects_unknown_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value", [
     ("S", "abc"), ("S", 1), ("n", -5), ("n", 0), ("seed", -1),
+    ("rung", "M9"), ("kind", "redblue"), ("kind", "blue"),
 ])
 def test_simulate_config_rejects_bad_values(tmp_path, capsys, recwarn, key,
                                             value):
-    # refused before any world is drawn: no warning, no output directory
+    # refused before any world is drawn: no warning, no output directory;
+    # the red/blue kind needs 10 states, and the config has S = 6
     cfg, outdir = _sim_config(tmp_path, **{key: value})
     assert main(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
@@ -639,6 +645,37 @@ def test_diagnose_sums_over_ethnicity(tmp_path):
         assert int(r["n_respondents"]) == len(votes)
         if votes:
             assert float(r["raw_mean"]) == sum(votes) / len(votes)
+
+
+def test_shuffled_survey_rows_give_equal_poll_and_draws(fitted_run,
+                                                        tmp_path):
+    # the likelihood sees a poll only through its counts per cell, so the
+    # order of survey.csv's rows changes neither the loaded Survey nor the
+    # draws of a fit
+    _, _, datadir, _ = fitted_run
+    lines = (datadir / "survey.csv").read_text(encoding="utf-8").splitlines(
+        keepends=True)
+    rows = lines[1:] + ["S01,1,\n", "S02,5,\n"]  # two with an empty vote
+    shuffled = list(rows)
+    np.random.default_rng(0).shuffle(shuffled)
+    assert shuffled != rows
+    states = load_states(datadir / "states.csv")
+    surveys, draws = [], []
+    for name, body in (("ordered", rows), ("shuffled", shuffled)):
+        data = tmp_path / name
+        shutil.copytree(datadir, data)
+        (data / "survey.csv").write_text("".join(lines[:1] + body),
+                                         encoding="utf-8")
+        cfg = _fit_config(tmp_path, data, tmp_path / f"run_{name}")
+        with pytest.warns(UserWarning, match="dropped 2 row"):
+            surveys.append(load_survey(data / "survey.csv", ModelSpec("M1"),
+                                       states))
+            assert main(["fit", "--config", cfg]) in (0, 3)
+        draws.append((tmp_path / f"run_{name}" / "draws.bin").read_bytes())
+    a, b = surveys
+    assert np.array_equal(a.n, b.n) and np.array_equal(a.k, b.k)
+    assert a.n_dropped == b.n_dropped == 2 and len(a) == len(lines) - 1
+    assert draws[0] == draws[1]
 
 
 def test_diagnose_raw_se_closed_form(tmp_path):

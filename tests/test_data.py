@@ -22,14 +22,32 @@ from mrpkit.data import (
     write_survey,
 )
 from mrpkit.design import ModelSpec
-from mrpkit.synthetic import Scenario, write_scenario_files
+from mrpkit.synthetic import (Scenario, draw_truth, make_cells, make_states,
+                              simulate_poll, write_scenario_files)
 
-from conftest import make_cell_table, make_state_table, make_survey
+from conftest import (make_cell_table, make_state_table, make_survey,
+                      survey_from_rows)
 
 
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _brute_force_counts(rows, n_states, use_eth):
+    """(n, k) per cell of respondent rows (state, income, ethnicity, vote)
+    by a loop over the rows for each cell of the nested-loop cross."""
+    cross = [(s, i, e) for s in range(1, n_states + 1) for i in range(1, 6)
+             for e in (range(1, 5) if use_eth else (0,))]
+    rows = [tuple(int(x) for x in row) for row in rows]
+    return (np.array([sum(r[:3] == c for r in rows) for c in cross]),
+            np.array([sum(r[3] for r in rows if r[:3] == c) for c in cross]))
+
+
+def _assert_counts(survey, rows, n_states, use_eth):
+    n, k = _brute_force_counts(rows, n_states, use_eth)
+    assert survey.n.dtype == survey.k.dtype == n.dtype
+    assert np.array_equal(survey.n, n) and np.array_equal(survey.k, k)
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +59,8 @@ def test_load_survey_direct_parse(tmp_path):
     sv = load_survey(p, ModelSpec("M1"))
     assert len(sv) == 2
     assert sv.n_dropped == 0
-    assert sv.state_id[0] == 5 and sv.income_cat[0] == 4 and sv.vote[0] == 1
-    assert sv.state_id[1] == 5 and sv.income_cat[1] == 1 and sv.vote[1] == 0
-    assert sv.ethnicity.tolist() == [0, 0]
+    # without a state table the cross runs to the largest state read
+    _assert_counts(sv, [(5, 4, 0, 1), (5, 1, 0, 0)], 5, False)
 
 
 def test_load_survey_drops_empty_vote_with_warning(tmp_path):
@@ -78,9 +95,7 @@ def test_load_survey_deterministic(tmp_path):
     p2 = _write(tmp_path / "b.csv", text)
     s1 = load_survey(p1, ModelSpec("M1"))
     s2 = load_survey(p2, ModelSpec("M1"))
-    assert np.array_equal(s1.state_id, s2.state_id)
-    assert np.array_equal(s1.income_cat, s2.income_cat)
-    assert np.array_equal(s1.vote, s2.vote)
+    assert np.array_equal(s1.n, s2.n) and np.array_equal(s1.k, s2.k)
 
 
 def _brute_force_survey(text, states, use_eth):
@@ -127,9 +142,9 @@ def test_load_survey_equals_brute_force(tmp_path, with_states, newline):
     with pytest.warns(UserWarning, match=f"dropped {dropped} row"):
         sv = load_survey(str(p), ModelSpec("M2", use_ethnicity=True),
                          states if with_states else None)
-    got = np.column_stack([sv.state_id, sv.income_cat, sv.ethnicity, sv.vote])
     assert sv.n_dropped == dropped
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    n_states = 5 if with_states else want[:, 0].max()
+    _assert_counts(sv, want, n_states, True)
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -162,7 +177,7 @@ def test_load_survey_quoted_label_with_comma(tmp_path):
     p = _write(tmp_path / "survey.csv",
                'state,income,vote\n"Washington, DC",3,1\nS01,2,0\n')
     sv = load_survey(p, ModelSpec("M1"), states)
-    assert sv.state_id.tolist() == [2, 1] and sv.income_cat.tolist() == [3, 2]
+    _assert_counts(sv, [(2, 3, 0, 1), (1, 2, 0, 0)], 2, False)
 
 
 @pytest.mark.parametrize("text,row", [
@@ -299,28 +314,45 @@ def test_cell_cross_is_canonical_order(use_eth):
 
 
 @pytest.mark.parametrize("use_eth", [False, True])
-def test_cell_counts_brute_force(use_eth):
+def test_cell_counts_brute_force(tmp_path, use_eth):
+    # the counts of load_survey, and of the tests' survey_from_rows, against
+    # a loop over the rows for each cell of the cell table
     S, n = 3, 500
     rng = np.random.default_rng(4)
     eth = rng.integers(1, 5, n) if use_eth else np.zeros(n, dtype=int)
-    survey = Survey(rng.integers(1, S + 1, n), rng.integers(1, 6, n), eth,
-                    rng.integers(0, 2, n))
+    rows = list(zip(rng.integers(1, S + 1, n).tolist(),
+                    rng.integers(1, 6, n).tolist(), eth.tolist(),
+                    rng.integers(0, 2, n).tolist()))
+    states = make_state_table(S)
     cells = make_cell_table(S, use_ethnicity=use_eth)
-    n_c, k_c = Dataset(survey, cells, make_state_table(S)).cell_counts()
-    for c in range(len(cells)):
-        key = (cells.state_id[c], cells.income_cat[c], cells.ethnicity[c])
-        votes = [v for s, i, e, v in zip(survey.state_id, survey.income_cat,
-                                         survey.ethnicity, survey.vote)
-                 if (s, i, e) == key]
-        assert n_c[c] == len(votes)
-        assert k_c[c] == sum(votes)
-    assert n_c.sum() == n
+    p = _write(tmp_path / "survey.csv",
+               "state,income,ethnicity,vote\n" + "".join(
+                   f"{states.labels[s - 1]},{i},{e or ''},{v}\n"
+                   for s, i, e, v in rows))
+    loaded = load_survey(p, ModelSpec("M1", use_eth), states)
+    for survey in (loaded, survey_from_rows(cells, *zip(*rows))):
+        for c in range(len(cells)):
+            key = (cells.state_id[c], cells.income_cat[c], cells.ethnicity[c])
+            votes = [v for s, i, e, v in rows if (s, i, e) == key]
+            assert survey.n[c] == len(votes)
+            assert survey.k[c] == sum(votes)
+        assert len(survey.n) == len(cells) and len(survey) == n
 
 
 def test_cell_counts_empty_cells():
     ds = Dataset(make_survey(2, 0), make_cell_table(2), make_state_table(2))
-    n_c, k_c = ds.cell_counts()
+    n_c, k_c = ds.survey.n, ds.survey.k
     assert n_c.shape == k_c.shape == (10,) and n_c.sum() == k_c.sum() == 0
+
+
+@pytest.mark.parametrize("n_cells", [9, 11])
+def test_dataset_refuses_counts_of_wrong_length(n_cells):
+    for n, k in ((n_cells, n_cells), (10, n_cells), (n_cells, 10)):
+        with pytest.raises(DataError, match=rf"survey counts of shapes "
+                                            rf"\({n},\) and \({k},\) do "
+                                            r"not fit the 10 cells"):
+            Dataset(Survey(np.zeros(n), np.zeros(k)), make_cell_table(2),
+                    make_state_table(2))
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +580,52 @@ def test_round_trip_survey_and_cells(tmp_path):
     spec = ModelSpec("M1")
     states = make_state_table(3)
     rng = np.random.default_rng(5)
-    sv = Survey(rng.integers(1, 4, 40), rng.integers(1, 6, 40),
-                np.zeros(40, dtype=int), rng.integers(0, 2, 40))
     cells = make_cell_table(3, seed=5)
+    sv = survey_from_rows(cells, rng.integers(1, 4, 40),
+                          rng.integers(1, 6, 40), np.zeros(40, dtype=int),
+                          rng.integers(0, 2, 40))
     sp, cp = tmp_path / "survey.csv", tmp_path / "cells.csv"
-    write_survey(sv, sp, states)
+    write_survey(Dataset(sv, cells, states), sp)
     write_cells(cells, cp, states)
     sv2 = load_survey(sp, spec, states)
     cells2 = load_cells(cp, spec, states)
-    assert np.array_equal(sv2.state_id, sv.state_id)
-    assert np.array_equal(sv2.vote, sv.vote)
+    assert np.array_equal(sv2.n, sv.n) and np.array_equal(sv2.k, sv.k)
     assert np.allclose(cells2.n_adults, cells.n_adults)
     assert np.allclose(cells2.n_voters, cells.n_voters)
+
+
+@pytest.mark.parametrize("world", ["ethnicity", "no respondents"])
+def test_survey_round_trip_keeps_counts(tmp_path, world):
+    # write_survey then load_survey gives back each cell's counts
+    sc = Scenario(S=4, rung="M2", n=3000, seed=8, use_ethnicity=True)
+    states = make_states(sc)
+    cells = make_cells(sc, states)
+    sv = simulate_poll(draw_truth(sc, states, cells), sc, states, cells).survey
+    if world == "no respondents":
+        sv = Survey(np.zeros_like(sv.n), np.zeros_like(sv.k))
+    p = tmp_path / "survey.csv"
+    write_survey(Dataset(sv, cells, states), p)
+    back = load_survey(str(p), sc.spec, states)
+    assert len(back) == len(sv) and back.n_dropped == 0
+    assert np.array_equal(back.n, sv.n) and np.array_equal(back.k, sv.k)
+
+
+def test_write_survey_rows_in_cell_order_yes_first(tmp_path):
+    # each cell's respondents are contiguous, cells in canonical order, and
+    # its Republican votes come first
+    states = StateTable(["B", "A"], [0.0, 1.0], [0.5, 0.5], [1, 1])
+    cells = make_cell_table(2, use_ethnicity=True)
+    rng = np.random.default_rng(3)
+    n = rng.integers(0, 4, len(cells))
+    k = rng.binomial(n, 0.5)
+    p = tmp_path / "survey.csv"
+    write_survey(Dataset(Survey(n, k), cells, states), p)
+    want = ["state,income,ethnicity,vote"]
+    c = 0
+    for s in ("B", "A"):
+        for i in range(1, 6):
+            for e in range(1, 5):
+                want += ([f"{s},{i},{e},1"] * k[c]
+                         + [f"{s},{i},{e},0"] * (n[c] - k[c]))
+                c += 1
+    assert p.read_text(encoding="utf-8").splitlines() == want

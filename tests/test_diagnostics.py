@@ -58,6 +58,30 @@ def test_ess_autocorrelated_much_smaller():
     assert ess < 0.1 * 2 * n
 
 
+def test_rhat_hand_computed():
+    # split halves [1, 2], [3, 4], [2, 4], [6, 8]: n = 2, means 1.5, 3.5, 3,
+    # 7; W = mean(0.5, 0.5, 2, 2) = 5/4; B = n var(means) = 65/6; so
+    # var_hat = (n - 1)/n W + B/n = 5/8 + 65/12 = 145/24 and
+    # R-hat = sqrt(var_hat / W) = sqrt(29/6)
+    x = np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0]])
+    assert split_rhat(x) == pytest.approx(np.sqrt(29 / 6), rel=1e-12)
+
+
+def test_ess_matches_ar1_closed_form():
+    # AR(1) chains with phi = 0.95: ESS = N (1 - phi)/(1 + phi), about 1026
+    # for N = 4 x 10,000 draws. Over seeds 0-29 the estimate fell within
+    # 0.84-1.15 of that (sd 0.08), so 25 % is a bound of three sd; without
+    # the factor 2 on the autocorrelation time the estimate nearly doubles
+    phi, chains, n = 0.95, 4, 10000
+    e = np.random.default_rng(7).standard_normal((chains, n))
+    x = np.empty((chains, n))
+    x[:, 0] = e[:, 0]
+    for t in range(1, n):
+        x[:, t] = phi * x[:, t - 1] + np.sqrt(1 - phi ** 2) * e[:, t]
+    want = chains * n * (1 - phi) / (1 + phi)
+    assert split_ess(x) == pytest.approx(want, rel=0.25)
+
+
 def test_compute_diagnostics_requires_two_chains():
     d = PosteriorDraws(np.random.default_rng(0).standard_normal((50, 2)), 1)
     with pytest.raises(ValueError):

@@ -7,22 +7,23 @@ from scipy.special import expit
 
 import mrpkit.model
 import mrpkit.samplers
-from mrpkit.data import N_INCOME, Dataset, Survey
+from mrpkit.data import N_INCOME, Dataset
 from mrpkit.design import (ModelSpec, build_layout, eta_adjoint, eta_kernel,
                            predictor_matrix)
 from mrpkit.model import LOG_2PI, LogDensityModel, PriorConfig
 from mrpkit.samplers import sample_mcmc
 
-from conftest import make_cell_table, make_state_table, make_survey
+from conftest import make_cell_table, make_state_table, survey_from_rows
 
 
 def _toy_model(S=3, rung="M1", prior=None, use_eth=False, seed=0, n=300):
     states = make_state_table(S, seed=seed)
     cells = make_cell_table(S, use_ethnicity=use_eth, seed=seed)
     rng = np.random.default_rng(seed)
-    sv = Survey(rng.integers(1, S + 1, n), rng.integers(1, 6, n),
-                rng.integers(1, 5, n) if use_eth else np.zeros(n, dtype=int),
-                rng.integers(0, 2, n))
+    sv = survey_from_rows(
+        cells, rng.integers(1, S + 1, n), rng.integers(1, 6, n),
+        rng.integers(1, 5, n) if use_eth else np.zeros(n, dtype=int),
+        rng.integers(0, 2, n))
     ds = Dataset(sv, cells, states)
     spec = ModelSpec(rung, use_eth)
     return LogDensityModel(ds, spec, prior)
@@ -52,8 +53,9 @@ def test_log_posterior_matches_naive_oracle_m1():
     states = make_state_table(S, seed=2)
     cells = make_cell_table(S, seed=2)
     r = np.random.default_rng(2)
-    sv = Survey(r.integers(1, S + 1, n), r.integers(1, 6, n),
-                np.zeros(n, dtype=int), r.integers(0, 2, n))
+    sid, inc, vote = (r.integers(1, S + 1, n), r.integers(1, 6, n),
+                      r.integers(0, 2, n))
+    sv = survey_from_rows(cells, sid, inc, np.zeros(n, dtype=int), vote)
     spec = ModelSpec("M1")
     model = LogDensityModel(Dataset(sv, cells, states), spec,
                             PriorConfig("weak", 5.0))
@@ -71,7 +73,7 @@ def test_log_posterior_matches_naive_oracle_m1():
 
         # likelihood, one respondent at a time
         ll = 0.0
-        for s, i, v in zip(sv.state_id, sv.income_cat, sv.vote):
+        for s, i, v in zip(sid, inc, vote):
             eta = alpha[s - 1] + beta[0] * (i - 3)
             p = expit(eta)
             ll += np.log(p) if v else np.log1p(-p)
@@ -122,7 +124,8 @@ def test_gradient_symmetry():
             sid += [s, s]
             inc += [i, i]
             vote += [0, 1]
-    sv = Survey(sid, inc, np.zeros(len(sid), dtype=int), vote)
+    sv = survey_from_rows(cells, sid, inc, np.zeros(len(sid), dtype=int),
+                          vote)
     model = LogDensityModel(Dataset(sv, cells, states), ModelSpec("M1"))
     g = model.grad(np.zeros(model.n_params))
     ga = g[model.layout.sl("alpha")]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.special import logit
 
-from mrpkit.data import Dataset, Survey
 from mrpkit.design import ModelSpec, build_layout
 from mrpkit.model import LogDensityModel, PriorConfig
 from mrpkit.samplers import (
