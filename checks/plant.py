@@ -102,15 +102,30 @@ CATALOGUE = (
         "initial_point's sigma_alpha update is a factor e too large",
         cost_only="redblue-cli ess_per_kgrad (gradient count)"),
     Bug("survey-repeats-once", "src/mrpkit/data.py",
-        "weight = np.bincount(index, minlength=len(parsed))[kept]",
-        "weight = np.bincount(np.unique(index), minlength=len(parsed))[kept]",
-        "load_survey counts each distinct record once, however often it "
+        "rows = [counts[line] for _, line in good]",
+        "rows = [1 for _, line in good]",
+        "load_survey counts each distinct line once, however often it "
         "repeats"),
+    Bug("survey-quote-unseen", "src/mrpkit/data.py",
+        "if split.line_num > len(good) + 1 or len(fields)",
+        "if len(fields)",
+        "load_survey counts a line that opens a quote as one record, "
+        "with the lines the quote swallows"),
+    Bug("survey-row-after", "src/mrpkit/data.py",
+        "len(header), i, i + 1)",
+        "len(header), i + 1, i + 2)",
+        "load_survey's hand-off names each row one after the row it is, "
+        "from a bad line's first occurrence on"),
+    Bug("survey-tail-late", "src/mrpkit/data.py",
+        "csv.reader(rest[i:])",
+        "csv.reader(rest[i + 1:])",
+        "load_survey hands the rest of the file to the record check one "
+        "row after a bad line's first occurrence"),
     Bug("write-survey-no-first", "src/mrpkit/data.py",
-        "np.tile([1, 0], len(n)),\n"
-        "                     np.column_stack([k, n - k])",
-        "np.tile([0, 1], len(n)),\n"
-        "                     np.column_stack([n - k, k])",
+        "for vote in (1, 0))\n"
+        "    repeats = [1] + np.column_stack([k, n - k])",
+        "for vote in (0, 1))\n"
+        "    repeats = [1] + np.column_stack([n - k, k])",
         "write_survey writes each cell's Democratic votes first, so "
         "survey.csv changes its bytes"),
 )

@@ -81,7 +81,8 @@ RUN_KEYS = {
 }
 # [scenario] key -> setting, for the keys simulate reads
 SCENARIO_KEYS = {("scenario", k.lower()): k
-                 for k in ("kind", "S", "n", "seed", "outdir", "rung")}
+                 for k in ("kind", "S", "n", "seed", "outdir", "rung",
+                           "use_ethnicity")}
 # least value of each sampler and scenario key; R-hat, and with it the
 # convergence stamp of a CLI fit, needs two chains, and the hierarchy two
 # states
@@ -335,19 +336,30 @@ def cmd_simulate(config_path) -> int:
     if not cp.has_section("scenario"):
         raise DataError("simulate config needs a [scenario] section")
     sim = _read_values(cp, config_path, SCENARIO_KEYS, SimpleNamespace(
-        kind="redblue", S=50, n=30000, seed=0, outdir="simdata", rung="M1"))
-    try:  # the world is checked before its directory is made
+        kind="redblue", S=50, n=30000, seed=0, outdir="simdata", rung="M1",
+        use_ethnicity=False))
+
+    def refused(key, why):
+        return DataError(f"{config_path}: [scenario] {key} = "
+                         f"{getattr(sim, key)!r}: {why}")
+
+    # the world is checked before its directory is made
+    try:
         if sim.kind == "redblue":
             scenario = redblue_scenario(S=sim.S, n=sim.n, seed=sim.seed)
         elif sim.kind == "basic":
-            scenario = Scenario(S=sim.S, rung=sim.rung, n=sim.n, seed=sim.seed)
-            scenario.spec  # ModelSpec checks the rung
+            scenario = Scenario(S=sim.S, rung=sim.rung, n=sim.n, seed=sim.seed,
+                                use_ethnicity=sim.use_ethnicity)
         else:
             raise ValueError("expected redblue or basic")
     except ValueError as err:
-        key = "rung" if sim.kind == "basic" else "kind"
-        raise DataError(f"{config_path}: [scenario] {key} = "
-                        f"{getattr(sim, key)!r}: {err}") from None
+        raise refused("kind", err) from None
+    try:
+        ModelSpec(sim.rung)  # checked for both kinds; the red/blue world is M2
+    except ValueError as err:
+        raise refused("rung", err) from None
+    if sim.kind == "redblue" and cp.has_option("scenario", "use_ethnicity"):
+        raise refused("use_ethnicity", "the red/blue world has no ethnicity")
     paths = write_scenario_files(scenario, sim.outdir)
     for p in paths.values():
         print(p)

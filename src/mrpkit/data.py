@@ -11,11 +11,14 @@ state-label map (``StateTable.label_index``). A poll is its counts per cell
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
 import io
 import operator
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -66,6 +69,14 @@ class Survey:
         self.n = np.asarray(n, dtype=int)
         self.k = np.asarray(k, dtype=int)
         self.n_dropped = n_dropped
+        if self.n.shape == self.k.shape:  # Dataset names a mismatch
+            bad = np.flatnonzero((self.n < 0) | (self.k < 0)
+                                 | (self.k > self.n))
+            if len(bad):
+                c = bad[0]
+                raise DataError(f"survey cell {c}: {self.k.flat[c]} "
+                                f"Republican votes of {self.n.flat[c]} "
+                                f"respondents; counts need 0 <= k <= n")
 
     def __len__(self) -> int:
         return int(self.n.sum())
@@ -132,12 +143,9 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # loaders
 
-def _read_rows(path):
-    """Stripped header and a generator of (row number, fields) of the data
-    rows from one csv.reader pass. Refuses a file that cannot be read, and
-    text that is not UTF-8 or holds a NUL, at once, then, as reached, a row
-    of the wrong field count or that csv.reader cannot split, and after the
-    last row any record that spanned lines (a line break inside quotes)."""
+def _read_text(path) -> str:
+    """The text of a file; DataError if it cannot be read, is not UTF-8 or
+    holds a NUL."""
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -150,28 +158,45 @@ def _read_rows(path):
                         f"{err.start} is not UTF-8") from None
     if "\x00" in text:
         raise DataError(f"{path}: cannot be read one record per line: a NUL")
-    reader = csv.reader(io.StringIO(text, newline=""))
+    return text
+
+
+def _header(path, reader) -> list[str]:
+    """Stripped fields of the first record of ``reader``."""
     try:
-        header = [h.strip() for h in next(reader)]
+        return [h.strip() for h in next(reader)]
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
     except csv.Error as err:
         raise DataError(f"{path}: row 1: {err}") from None
 
-    def rows(n_fields=len(header)):
-        r = 1
-        try:
-            for r, row in enumerate(reader, start=2):
-                if len(row) != n_fields:
-                    raise DataError(f"{path}: row {r}: expected {n_fields} "
-                                    f"fields, got {len(row)}")
-                yield r, row
-        except csv.Error as err:
-            raise DataError(f"{path}: row {r + 1}: {err}") from None
-        if reader.line_num != r:
-            raise DataError(f"{path}: cannot be read one record per line: a "
-                            f"line break inside quotes")
-    return header, rows()
+
+def _rows(path, reader, n_fields, r, first=1):
+    """(row number, fields) of the records left in ``reader``, which began
+    at row ``first`` and has read the rows up to r. Refuses, as reached, a
+    row of the wrong field count or that csv.reader cannot split, and after
+    the last row any record that spanned lines (a line break inside
+    quotes)."""
+    try:
+        for r, row in enumerate(reader, start=r + 1):
+            if len(row) != n_fields:
+                raise DataError(f"{path}: row {r}: expected {n_fields} "
+                                f"fields, got {len(row)}")
+            yield r, row
+    except csv.Error as err:
+        raise DataError(f"{path}: row {r + 1}: {err}") from None
+    if reader.line_num != r - first + 1:
+        raise DataError(f"{path}: cannot be read one record per line: a "
+                        f"line break inside quotes")
+
+
+def _read_rows(path):
+    """Stripped header and a generator of (row number, fields) of the data
+    rows from one csv.reader pass (``_rows``). Refuses a file that cannot be
+    read, and text that is not UTF-8 or holds a NUL, at once."""
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    header = _header(path, reader)
+    return header, _rows(path, reader, len(header), 1)
 
 
 def _col(header: list[str], name: str, path) -> int:
@@ -251,11 +276,16 @@ def load_survey(path, spec, states: StateTable | None = None) -> Survey:
     Rows with an empty vote field (no stated preference) are dropped and
     counted; a warning reports the count. Any other malformed field is an
     error naming the row and column; the first bad row in file order is
-    reported. Fields are split as for every input table (``_read_rows``),
-    and each distinct record of the used fields is parsed once, when first
-    met.
+    reported. The data lines are counted as they stand, and each distinct
+    line is split and parsed once, in order of first occurrence. From the
+    first line that is not one good record (it opens a quote, or a field
+    is bad), the rest of the file goes through the record check of every
+    table (``_rows``), which names that row as a row-by-row read would.
     """
-    header, rows = _read_rows(path)
+    text = _read_text(path)
+    lines = io.StringIO(text, newline="")  # the lines csv.reader reads
+    reader = csv.reader(lines)
+    header = _header(path, reader)
     c_state = _col(header, "state", path)
     c_income = _col(header, "income", path)
     c_vote = _col(header, "vote", path)
@@ -278,24 +308,51 @@ def load_survey(path, spec, states: StateTable | None = None) -> Survey:
                 if eth else 0,
                 _parse_int(vote, r, "vote", 0, 1, path))
 
-    ids, parsed, index = {}, [], []  # record -> id; id -> parse; row -> id
-    for r, row in rows:
-        key = used(row)
+    ids, parsed = {}, []  # used fields -> id; id -> parse
+
+    def ident(fields, r):
+        """Id of the used fields of a row, parsed as row r when first met."""
+        key = used(fields)
         if key not in ids:
-            ids[key] = len(parsed)
             parsed.append(parse(key, r))
-        index.append(ids[key])
-    index = np.array(index, dtype=np.intp)
+            ids[key] = len(ids)
+        return ids[key]
+
+    # (id, line) of each good distinct line; rows per line; records left to
+    # the record check
+    good, counts, tail = [], {}, ()
+    if reader.line_num > 1:  # the header spans lines
+        tail = _rows(path, reader, len(header), 1)
+    else:
+        counts = collections.Counter(lines)
+        distinct = list(counts)
+        split = csv.reader(distinct)
+        # a parse error here is named with its row by the record check
+        with contextlib.suppress(csv.Error, DataError):
+            for fields in split:
+                if split.line_num > len(good) + 1 or len(fields) != len(header):
+                    break
+                good.append((ident(fields, 0), distinct[len(good)]))
+        if len(good) < len(distinct):  # hand the rest to the record check
+            rest = io.StringIO(text, newline="").readlines()
+            i = rest.index(distinct[len(good)], 1)  # first seen as row i + 1
+            counts = collections.Counter(rest[1:i])
+            tail = _rows(path, csv.reader(rest[i:]), len(header), i, i + 1)
+    index = [j for j, _ in good]
+    rows = [counts[line] for _, line in good]
+    for r, fields in tail:
+        index.append(ident(fields, r))
+        rows.append(1)
     kept = np.array([p is not None for p in parsed], dtype=bool)
     table = np.array([p for p in parsed if p], dtype=int).reshape(-1, 4)
-    weight = np.bincount(index, minlength=len(parsed))[kept]  # rows each
+    weight = np.bincount(index, rows, minlength=len(parsed))[kept]
     n_states = states.n_states if states else int(table[:, 0].max(initial=0))
     C = n_states * N_INCOME * (N_ETH if spec.use_ethnicity else 1)
     pos = cell_position(*table[:, :3].T, spec.use_ethnicity)
     n = np.bincount(pos, weight, minlength=C).astype(int)
     k = np.bincount(pos, weight * table[:, 3], minlength=C).astype(int)
 
-    n_dropped = len(index) - int(n.sum())
+    n_dropped = sum(rows) - int(n.sum())
     if n_dropped:
         warnings.warn(f"{path}: dropped {n_dropped} row(s) with missing vote",
                       stacklevel=2)
@@ -419,13 +476,17 @@ def write_states(states: StateTable, path) -> None:
 
 def write_survey(dataset: Dataset, path) -> None:
     """One row per respondent of ``dataset.survey``: cells in canonical
-    order, each cell's Republican votes first."""
+    order, each cell's Republican votes first. Each cell's two rows are
+    formatted once and written k and n - k times."""
     cells, n, k = dataset.cells, dataset.survey.n, dataset.survey.k
     header, cols = key_columns(cells, dataset.states, cells.use_ethnicity)
-    vote = np.repeat(np.tile([1, 0], len(n)),
-                     np.column_stack([k, n - k]).ravel())
-    _write_csv(path, header + ["vote"],
-               [np.repeat(c, n).tolist() for c in cols] + [vote.tolist()])
+    lines = []
+    w = csv.writer(SimpleNamespace(write=lines.append))  # a line per row
+    w.writerow(header + ["vote"])
+    w.writerows((*key, vote) for key in zip(*cols) for vote in (1, 0))
+    repeats = [1] + np.column_stack([k, n - k]).ravel().tolist()
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.writelines(map(operator.mul, lines, repeats))
 
 
 def write_cells(cells: CellTable, path, states: StateTable | None = None) -> None:

@@ -185,6 +185,39 @@ def test_simulate_config_rejects_bad_values(tmp_path, capsys, recwarn, key,
     assert not outdir.exists()
 
 
+def test_simulate_basic_with_ethnicity(tmp_path):
+    # [scenario] use_ethnicity draws a world with the ethnicity column
+    cfg, outdir = _sim_config(tmp_path, S=3, n=200)
+    with open(cfg, "a", encoding="utf-8") as f:
+        f.write("use_ethnicity = true\n")
+    assert main(["simulate", "--config", cfg]) == 0
+    spec = ModelSpec("M1", use_ethnicity=True)
+    sv = load_survey(str(outdir / "survey.csv"), spec,
+                     load_states(outdir / "states.csv"))
+    assert len(sv.n) == 3 * 5 * 4 and len(sv) == 200
+    for name in ("survey.csv", "cells.csv", "truth.csv"):
+        assert (outdir / name).read_text().startswith(
+            "state,income,ethnicity,")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("rung", "M9"), ("use_ethnicity", "true"), ("use_ethnicity", "false"),
+    ("use_ethnicity", "maybe")])
+def test_simulate_redblue_refuses_what_it_ignores(tmp_path, capsys, key,
+                                                  value):
+    # the red/blue world is M2 without ethnicity: a bad rung, or any
+    # use_ethnicity, is refused before anything is written
+    cfg, outdir = _sim_config(tmp_path, kind="redblue", S=12, n=100,
+                              **({"rung": value} if key == "rung" else {}))
+    if key == "use_ethnicity":
+        with open(cfg, "a", encoding="utf-8") as f:
+            f.write(f"use_ethnicity = {value}\n")
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "sim.ini" in err and f"[scenario] {key} = " in err
+    assert not outdir.exists()
+
+
 def test_poststratify_state_rows(fitted_run):
     _, fitcfg, _, outdir = fitted_run
     assert main(["poststratify", "--config", fitcfg,

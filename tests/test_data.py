@@ -629,3 +629,195 @@ def test_write_survey_rows_in_cell_order_yes_first(tmp_path):
                          + [f"{s},{i},{e},0"] * (n[c] - k[c]))
                 c += 1
     assert p.read_text(encoding="utf-8").splitlines() == want
+
+
+@pytest.mark.parametrize("use_eth", [False, True])
+@pytest.mark.parametrize("poll", ["edges", "empty"])
+def test_write_survey_bytes_equal_per_row_writer(tmp_path, use_eth, poll):
+    # the file write_survey makes is the one a csv.writer row per
+    # respondent makes, labels that need quoting included
+    labels = ["New York, NY", 'The "Big" One', "S03"]
+    states = StateTable(labels, [0.0, 1.0, 2.0], [0.5] * 3, [1, 1, 2])
+    cells = make_cell_table(3, use_ethnicity=use_eth)
+    rng = np.random.default_rng(6)
+    n = rng.integers(0, 5, len(cells))
+    k = rng.binomial(n, 0.5)
+    n[:3], k[:3] = (0, 4, 3), (0, 0, 3)  # n = 0, k = 0 and k = n
+    if poll == "empty":
+        n, k = np.zeros_like(n), np.zeros_like(k)
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["state", "income"] + ["ethnicity"] * use_eth + ["vote"])
+    for c in range(len(cells)):
+        key = [labels[cells.state_id[c] - 1], cells.income_cat[c]] \
+            + [cells.ethnicity[c]] * use_eth
+        for v in [1] * k[c] + [0] * (n[c] - k[c]):
+            w.writerow(key + [v])
+    p = tmp_path / "survey.csv"
+    write_survey(Dataset(Survey(n, k), cells, states), p)
+    assert p.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("n,k,cell", [
+    ([2, -1, 3], [1, 0, 0], 1), ([2, 1, 3], [1, 2, 4], 1),
+    ([2, 1, 3], [-1, 0, 4], 0), ([0, 0, 3], [0, 0, 4], 2)])
+def test_survey_refuses_counts_that_are_not_counts(n, k, cell):
+    with pytest.raises(DataError, match=rf"survey cell {cell}: {k[cell]} "
+                                        rf"Republican votes of {n[cell]} "
+                                        r"respondents"):
+        Survey(n, k)
+
+
+def _sequential_load_survey(path, spec, states):
+    """A row-by-row read of survey.csv: one csv.reader pass with each
+    row's checks in file order, as load_survey read before it counted
+    lines; the reference the line-counting reader must equal."""
+    data = open(path, "rb").read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: byte {data[err.start]:#04x} at offset "
+                        f"{err.start} is not UTF-8") from None
+    if "\x00" in text:
+        raise DataError(f"{path}: cannot be read one record per line: a NUL")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    except csv.Error as err:
+        raise DataError(f"{path}: row 1: {err}") from None
+
+    def col(name):
+        if name not in header:
+            raise DataError(f"{path}: missing required column {name!r}")
+        return header.index(name)
+
+    def parse_int(value, r, name, lo, hi):
+        try:
+            v = int(value)
+        except ValueError:
+            raise DataError(f"{path}: row {r}, column {name!r}: cannot parse "
+                            f"{value!r} as integer") from None
+        if not lo <= v <= hi:
+            raise DataError(f"{path}: row {r}, column {name!r}: value {v} "
+                            f"outside {lo}..{hi}")
+        return v
+
+    c_state, c_income, c_vote = col("state"), col("income"), col("vote")
+    c_eth = header.index("ethnicity") if "ethnicity" in header else None
+    if spec.use_ethnicity and c_eth is None:
+        raise DataError(f"{path}: model uses ethnicity but column is missing")
+    kept, dropped, r = [], 0, 1
+    try:
+        for r, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {r}: expected {len(header)} "
+                                f"fields, got {len(row)}")
+            if row[c_vote].strip() == "":
+                dropped += 1
+                continue
+            label = row[c_state].strip()
+            if states is None:
+                s = parse_int(label, r, "state", 1, 10 ** 6)
+            elif label in states.label_index:
+                s = states.label_index[label]
+            else:
+                raise DataError(f"{path}: row {r}: unknown state label "
+                                f"{label!r}")
+            kept.append((s, parse_int(row[c_income], r, "income", 1, 5),
+                         parse_int(row[c_eth], r, "ethnicity", 1, 4)
+                         if spec.use_ethnicity else 0,
+                         parse_int(row[c_vote], r, "vote", 0, 1)))
+    except csv.Error as err:
+        raise DataError(f"{path}: row {r + 1}: {err}") from None
+    if reader.line_num != r:
+        raise DataError(f"{path}: cannot be read one record per line: a "
+                        f"line break inside quotes")
+    kept = np.array(kept, dtype=int).reshape(-1, 4)
+    S = states.n_states if states else int(kept[:, 0].max(initial=0))
+    pos = cell_position(*kept[:, :3].T, spec.use_ethnicity)
+    C = S * 5 * (4 if spec.use_ethnicity else 1)
+    return (np.bincount(pos, minlength=C).tolist(),
+            np.bincount(pos, kept[:, 3], minlength=C).astype(int).tolist(),
+            dropped)
+
+
+def _outcome(load, path, spec, states):
+    """(n, k, n_dropped) of a load, or the text of its DataError."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # dropped rows
+            out = load(str(path), spec, states)
+    except DataError as err:
+        return str(err)
+    if isinstance(out, Survey):
+        return out.n.tolist(), out.k.tolist(), out.n_dropped
+    return out
+
+
+_HEAD = "state,income,vote\n"
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('state,"income\n",vote\nS01,2,1\nS02,3,0\n',
+                 id="header-spans-lines"),
+    pytest.param('state,"in\ncome",vote\nS01,2,1\n', id="header-spans-bad"),
+    pytest.param(_HEAD + 'S01,2,1\n"S02\n",3,1\nS01,2,1\nS03,1,0\n',
+                 id="quoted-line-break-closes"),
+    pytest.param(_HEAD + 'S01,2,1\nS01,9,1\n"S02\n",3,1\n',
+                 id="bad-row-before-quote"),
+    pytest.param(_HEAD + 'S01,2,1\n"S02\n",3,1\nS01,9,1\n',
+                 id="bad-row-after-quote"),
+    pytest.param(_HEAD + 'S01,2,1\n"S02,3,0\nS01,1,1\nS01,2,1\n',
+                 id="unclosed-quote"),
+    pytest.param(_HEAD + 'S01,2,1\n"S02,3,0\n' + "S01,1,1\n" * 20000,
+                 id="unclosed-quote-field-limit"),
+    pytest.param(_HEAD + 'S01,2,1\nS02,3,"1', id="quote-open-at-end"),
+    pytest.param(_HEAD + 'S01,2,1\nS02,3,0\nS01,2,1', id="no-last-newline"),
+    pytest.param(_HEAD + "S01,2,1\nS01,2,\nS02,x, \nS01,2,\n",
+                 id="empty-votes"),
+    pytest.param(_HEAD + "S01,2,1\n" * 3 + "S01,6,1\n" * 2 + "S01,2,x\n",
+                 id="repeated-bad-row"),
+    pytest.param(_HEAD + "S01,2,1\n\nS01,2,1\n\n", id="blank-lines"),
+    pytest.param(_HEAD + "S01,2,1\r\nS02,3,0\rS01,2,1\n", id="mixed-ends"),
+    pytest.param(_HEAD + "S01,2,1,\nS01,2,1\n", id="extra-field"),
+    pytest.param(_HEAD + "S01,2,1\n" + "S01," * 70000 + "\n",
+                 id="line-over-field-limit"),
+    pytest.param(_HEAD, id="header-only"),
+    pytest.param("state,income\nS01,2\n", id="no-vote-column"),
+    pytest.param("", id="empty"),
+])
+def test_load_survey_equals_sequential_read_by_hand(tmp_path, text):
+    states = make_state_table(3)
+    p = tmp_path / "survey.csv"
+    p.write_bytes(text.encode())
+    spec = ModelSpec("M1")
+    assert _outcome(load_survey, p, spec, states) \
+        == _outcome(_sequential_load_survey, p, spec, states)
+
+
+@pytest.mark.parametrize("use_eth", [False, True])
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"])
+def test_load_survey_equals_sequential_read_on_corrupt_input(
+        tmp_path, use_eth, line_end):
+    # the line-counting reader and a row-by-row read agree on every
+    # corrupted copy of a written survey, in file order and shuffled: the
+    # same counts, or a DataError with the same text
+    sc = Scenario(S=3, n=300, seed=2, use_ethnicity=use_eth)
+    paths = write_scenario_files(sc, tmp_path / "world")
+    states = load_states(paths["states"])
+    lines = open(paths["survey"], "rb").read().splitlines()
+    rng = np.random.default_rng([use_eth, len(line_end)])
+    shuffled = lines[:1] + [lines[1:][i] for i in rng.permutation(300)]
+    loaded = refused = 0
+    for order in (lines, shuffled):
+        data = line_end.join(order) + line_end
+        for name, mutant in [("as written", data)] + _mutants(data, rng):
+            p = tmp_path / f"{loaded + refused}.csv"
+            p.write_bytes(mutant)
+            want = _outcome(_sequential_load_survey, p, sc.spec, states)
+            assert _outcome(load_survey, p, sc.spec, states) == want, name
+            loaded += isinstance(want, tuple)
+            refused += isinstance(want, str)
+    assert loaded >= 2 and refused >= 10
