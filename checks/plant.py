@@ -102,25 +102,32 @@ CATALOGUE = (
         "initial_point's sigma_alpha update is a factor e too large",
         cost_only="redblue-cli ess_per_kgrad (gradient count)"),
     Bug("survey-repeats-once", "src/mrpkit/data.py",
-        "rows = [counts[line] for _, line in good]",
-        "rows = [1 for _, line in good]",
+        "rows = list(split.values())",
+        "rows = [1] * len(split)",
         "load_survey counts each distinct line once, however often it "
         "repeats"),
     Bug("survey-quote-unseen", "src/mrpkit/data.py",
-        "if split.line_num > len(good) + 1 or len(fields)",
-        "if len(fields)",
+        "if (len(index) < reader.line_num",
+        "if (len(index) < 0",
         "load_survey counts a line that opens a quote as one record, "
         "with the lines the quote swallows"),
+    Bug("survey-eof-quote-unseen", "src/mrpkit/data.py",
+        "reader = csv.reader(split, strict=True)",
+        "reader = csv.reader(split)",
+        "load_survey takes a last distinct line that opens a quote, which "
+        "csv.reader closes at the end of the lines, for one good record"),
+    Bug("survey-field-count-unseen", "src/mrpkit/data.py",
+        "or any(m != len(header) for m, _ in first)",
+        "or any(m < 0 for m, _ in first)",
+        "load_survey accepts a row whose field count is not the header's"),
+    Bug("survey-header-span-unseen", "src/mrpkit/data.py",
+        "if head.line_num > 1:  # the header spans lines",
+        "if False:  # the header spans lines",
+        "load_survey accepts a header that spans lines"),
     Bug("survey-row-after", "src/mrpkit/data.py",
-        "len(header), i, i + 1)",
-        "len(header), i + 1, i + 2)",
-        "load_survey's hand-off names each row one after the row it is, "
-        "from a bad line's first occurrence on"),
-    Bug("survey-tail-late", "src/mrpkit/data.py",
-        "csv.reader(rest[i:])",
-        "csv.reader(rest[i + 1:])",
-        "load_survey hands the rest of the file to the record check one "
-        "row after a bad line's first occurrence"),
+        "parsed.append(parse(key, r))",
+        "parsed.append(parse(key, r + 1))",
+        "load_survey's row-by-row read names the row after the bad one"),
     Bug("write-survey-no-first", "src/mrpkit/data.py",
         "for vote in (1, 0))\n"
         "    repeats = [1] + np.column_stack([k, n - k])",

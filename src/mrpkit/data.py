@@ -12,9 +12,9 @@ state-label map (``StateTable.label_index``). A poll is its counts per cell
 from __future__ import annotations
 
 import collections
-import contextlib
 import csv
 import io
+import itertools
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -171,32 +171,34 @@ def _header(path, reader) -> list[str]:
         raise DataError(f"{path}: row 1: {err}") from None
 
 
-def _rows(path, reader, n_fields, r, first=1):
-    """(row number, fields) of the records left in ``reader``, which began
-    at row ``first`` and has read the rows up to r. Refuses, as reached, a
-    row of the wrong field count or that csv.reader cannot split, and after
-    the last row any record that spanned lines (a line break inside
-    quotes)."""
-    try:
-        for r, row in enumerate(reader, start=r + 1):
-            if len(row) != n_fields:
-                raise DataError(f"{path}: row {r}: expected {n_fields} "
-                                f"fields, got {len(row)}")
-            yield r, row
-    except csv.Error as err:
-        raise DataError(f"{path}: row {r + 1}: {err}") from None
-    if reader.line_num != r - first + 1:
-        raise DataError(f"{path}: cannot be read one record per line: a "
-                        f"line break inside quotes")
+def _records(path, text):
+    """Stripped header and a generator of (row number, fields) of the data
+    rows from one csv.reader pass over ``text``. Refuses, as reached, a row
+    of the wrong field count or that csv.reader cannot split, and after the
+    last row any record that spanned lines (a line break inside quotes)."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = _header(path, reader)
+
+    def rows(n_fields=len(header)):
+        r = 1
+        try:
+            for r, row in enumerate(reader, start=2):
+                if len(row) != n_fields:
+                    raise DataError(f"{path}: row {r}: expected {n_fields} "
+                                    f"fields, got {len(row)}")
+                yield r, row
+        except csv.Error as err:
+            raise DataError(f"{path}: row {r + 1}: {err}") from None
+        if reader.line_num != r:
+            raise DataError(f"{path}: cannot be read one record per line: a "
+                            f"line break inside quotes")
+    return header, rows()
 
 
 def _read_rows(path):
-    """Stripped header and a generator of (row number, fields) of the data
-    rows from one csv.reader pass (``_rows``). Refuses a file that cannot be
-    read, and text that is not UTF-8 or holds a NUL, at once."""
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    header = _header(path, reader)
-    return header, _rows(path, reader, len(header), 1)
+    """``_records`` of a file; refuses a file that cannot be read, and text
+    that is not UTF-8 or holds a NUL, at once."""
+    return _records(path, _read_text(path))
 
 
 def _col(header: list[str], name: str, path) -> int:
@@ -269,6 +271,9 @@ def load_states(path) -> StateTable:
     return StateTable(labels, inc, share, np.asarray(region))
 
 
+_PROBE_LINES = 8192  # first survey lines whose repeats decide whether to count lines
+
+
 def load_survey(path, spec, states: StateTable | None = None) -> Survey:
     """Read survey.csv (state,income[,ethnicity],vote) as counts per cell
     over ``states`` (without one, over states 1..the largest index read).
@@ -276,16 +281,16 @@ def load_survey(path, spec, states: StateTable | None = None) -> Survey:
     Rows with an empty vote field (no stated preference) are dropped and
     counted; a warning reports the count. Any other malformed field is an
     error naming the row and column; the first bad row in file order is
-    reported. The data lines are counted as they stand, and each distinct
-    line is split and parsed once, in order of first occurrence. From the
-    first line that is not one good record (it opens a quote, or a field
-    is bad), the rest of the file goes through the record check of every
-    table (``_rows``), which names that row as a row-by-row read would.
+    reported. On a good file each line is split at most once and each
+    distinct record of the used fields parsed once (``by_lines``). If the
+    header or any line is not one good record of its own (a field is bad,
+    or a quote carries it onto the next line or to the end), the file is
+    read row by row instead (``by_rows``).
     """
     text = _read_text(path)
     lines = io.StringIO(text, newline="")  # the lines csv.reader reads
-    reader = csv.reader(lines)
-    header = _header(path, reader)
+    head = csv.reader(lines)
+    header = _header(path, head)
     c_state = _col(header, "state", path)
     c_income = _col(header, "income", path)
     c_vote = _col(header, "vote", path)
@@ -308,51 +313,61 @@ def load_survey(path, spec, states: StateTable | None = None) -> Survey:
                 if eth else 0,
                 _parse_int(vote, r, "vote", 0, 1, path))
 
-    ids, parsed = {}, []  # used fields -> id; id -> parse
+    def by_lines():
+        """Parses of the distinct records of the used fields, in order of
+        first occurrence, and the rows of each, with each record parsed
+        once; None if a line is not one good record of its own. Repeated
+        lines are counted and each distinct one split once; when most of
+        the first lines are distinct (an id column, say), counting would
+        cost more than it saves, and every line is split."""
+        if head.line_num > 1:  # the header spans lines
+            return None
+        probe = list(itertools.islice(lines, _PROBE_LINES))
+        if 2 * len(set(probe)) > len(probe):
+            split, rows = itertools.chain(probe, lines), None
+        else:
+            split = collections.Counter(probe)  # rows per distinct line
+            split.update(lines)
+            rows = list(split.values())
+        # strict: a quote open at the end is an error, not a closed field
+        reader = csv.reader(split, strict=True)
+        a, b = itertools.tee(reader)
+        first = {}  # (field count, used fields) -> its first line
+        try:
+            index = list(map(first.setdefault, zip(map(len, a), map(used, b)),
+                             itertools.count()))
+            # a record that spans lines leaves fewer records than lines
+            if (len(index) < reader.line_num
+                    or any(m != len(header) for m, _ in first)):
+                return None
+            parsed = [parse(key, 0) for _, key in first]
+        except (csv.Error, IndexError, DataError):
+            return None
+        return parsed, np.bincount(index, rows)[list(first.values())]
 
-    def ident(fields, r):
-        """Id of the used fields of a row, parsed as row r when first met."""
-        key = used(fields)
-        if key not in ids:
-            parsed.append(parse(key, r))
-            ids[key] = len(ids)
-        return ids[key]
+    def by_rows():
+        """The same from a row-by-row read (``_records``), which names the
+        first bad row in file order."""
+        ids, parsed, index = {}, [], []  # used fields -> id; id -> parse
+        for r, fields in _records(path, text)[1]:
+            key = used(fields)
+            if key not in ids:
+                ids[key] = len(parsed)
+                parsed.append(parse(key, r))
+            index.append(ids[key])
+        return parsed, np.bincount(index, minlength=len(parsed))
 
-    # (id, line) of each good distinct line; rows per line; records left to
-    # the record check
-    good, counts, tail = [], {}, ()
-    if reader.line_num > 1:  # the header spans lines
-        tail = _rows(path, reader, len(header), 1)
-    else:
-        counts = collections.Counter(lines)
-        distinct = list(counts)
-        split = csv.reader(distinct)
-        # a parse error here is named with its row by the record check
-        with contextlib.suppress(csv.Error, DataError):
-            for fields in split:
-                if split.line_num > len(good) + 1 or len(fields) != len(header):
-                    break
-                good.append((ident(fields, 0), distinct[len(good)]))
-        if len(good) < len(distinct):  # hand the rest to the record check
-            rest = io.StringIO(text, newline="").readlines()
-            i = rest.index(distinct[len(good)], 1)  # first seen as row i + 1
-            counts = collections.Counter(rest[1:i])
-            tail = _rows(path, csv.reader(rest[i:]), len(header), i, i + 1)
-    index = [j for j, _ in good]
-    rows = [counts[line] for _, line in good]
-    for r, fields in tail:
-        index.append(ident(fields, r))
-        rows.append(1)
+    parsed, each = by_lines() or by_rows()
     kept = np.array([p is not None for p in parsed], dtype=bool)
     table = np.array([p for p in parsed if p], dtype=int).reshape(-1, 4)
-    weight = np.bincount(index, rows, minlength=len(parsed))[kept]
+    weight = each[kept]
     n_states = states.n_states if states else int(table[:, 0].max(initial=0))
     C = n_states * N_INCOME * (N_ETH if spec.use_ethnicity else 1)
     pos = cell_position(*table[:, :3].T, spec.use_ethnicity)
     n = np.bincount(pos, weight, minlength=C).astype(int)
     k = np.bincount(pos, weight * table[:, 3], minlength=C).astype(int)
 
-    n_dropped = sum(rows) - int(n.sum())
+    n_dropped = int(each[~kept].sum())
     if n_dropped:
         warnings.warn(f"{path}: dropped {n_dropped} row(s) with missing vote",
                       stacklevel=2)

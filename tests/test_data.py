@@ -774,6 +774,10 @@ _HEAD = "state,income,vote\n"
     pytest.param(_HEAD + 'S01,2,1\n"S02,3,0\n' + "S01,1,1\n" * 20000,
                  id="unclosed-quote-field-limit"),
     pytest.param(_HEAD + 'S01,2,1\nS02,3,"1', id="quote-open-at-end"),
+    pytest.param(_HEAD + 'S01,2,1\nS01,2,"1\nS01,2,1\n',
+                 id="last-distinct-line-opens-quote"),
+    pytest.param("state,income,vote,weight\nS01,2,1,1\nS01,2,1,\"1\n"
+                 "S01,2,1,1\nS01,2,1,1\n", id="unused-column-opens-quote"),
     pytest.param(_HEAD + 'S01,2,1\nS02,3,0\nS01,2,1', id="no-last-newline"),
     pytest.param(_HEAD + "S01,2,1\nS01,2,\nS02,x, \nS01,2,\n",
                  id="empty-votes"),
@@ -788,8 +792,14 @@ _HEAD = "state,income,vote\n"
     pytest.param("state,income\nS01,2\n", id="no-vote-column"),
     pytest.param("", id="empty"),
 ])
-def test_load_survey_equals_sequential_read_by_hand(tmp_path, text):
+@pytest.mark.parametrize("repeats", [0, 20])
+def test_load_survey_equals_sequential_read_by_hand(tmp_path, text, repeats):
+    # with 20 repeated lines after the first, most lines repeat and
+    # load_survey counts lines before it splits them; without, most of
+    # these short files' lines are distinct and it splits every line
     states = make_state_table(3)
+    first, sep, rest = text.partition("\n")
+    text = first + sep + "S01,2,1\n" * repeats * bool(sep) + rest
     p = tmp_path / "survey.csv"
     p.write_bytes(text.encode())
     spec = ModelSpec("M1")
@@ -797,17 +807,22 @@ def test_load_survey_equals_sequential_read_by_hand(tmp_path, text):
         == _outcome(_sequential_load_survey, p, spec, states)
 
 
+@pytest.mark.parametrize("id_column", [False, True])
 @pytest.mark.parametrize("use_eth", [False, True])
 @pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"])
 def test_load_survey_equals_sequential_read_on_corrupt_input(
-        tmp_path, use_eth, line_end):
-    # the line-counting reader and a row-by-row read agree on every
-    # corrupted copy of a written survey, in file order and shuffled: the
-    # same counts, or a DataError with the same text
+        tmp_path, use_eth, line_end, id_column):
+    # load_survey and a row-by-row read agree on every corrupted copy of a
+    # written survey, in file order and shuffled: the same counts, or a
+    # DataError with the same text. With a respondent id first, no line
+    # repeats and load_survey splits every line instead of counting lines.
     sc = Scenario(S=3, n=300, seed=2, use_ethnicity=use_eth)
     paths = write_scenario_files(sc, tmp_path / "world")
     states = load_states(paths["states"])
     lines = open(paths["survey"], "rb").read().splitlines()
+    if id_column:
+        lines = [b"id," + lines[0]] + [b"%d,%s" % (i, line) for i, line
+                                       in enumerate(lines[1:], start=1)]
     rng = np.random.default_rng([use_eth, len(line_end)])
     shuffled = lines[:1] + [lines[1:][i] for i in rng.permutation(300)]
     loaded = refused = 0
