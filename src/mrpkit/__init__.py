@@ -19,13 +19,7 @@ from mrpkit.data import (
 )
 from mrpkit.design import ModelSpec, ParameterLayout, build_layout
 from mrpkit.model import LogDensityModel, PriorConfig
-from mrpkit.samplers import (
-    ConvergenceError,
-    PosteriorDraws,
-    fit_map,
-    sample_laplace,
-    sample_mcmc,
-)
+from mrpkit.samplers import PosteriorDraws, sample_mcmc
 from mrpkit.poststrat import (
     AggregateEstimates,
     CellEstimates,

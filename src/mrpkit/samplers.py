@@ -1,10 +1,12 @@
-"""Posterior computation: MAP by damped Newton on the finite-difference
-Hessian, with a Laplace approximation, and Hamiltonian Monte Carlo with
-dual-averaging step-size adaptation.
+"""Posterior computation: Hamiltonian Monte Carlo with dual-averaging
+step-size adaptation, the damped-Newton ascent that
+``LogDensityModel.initial_point`` runs, and the finite-difference Hessian
+behind the dense metric.
 
 Any object exposing ``n_params``, ``log_posterior(x)`` and ``grad(x)`` can be
-sampled; LogDensityModel is the usual target but test stubs work too. This
-module needs numpy alone.
+sampled from a diffuse start; a start at the mode (``init="map"``) also
+needs ``initial_point()``. LogDensityModel is the usual target but test
+stubs work too. This module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 FD_STEP = 1e-5  # relative finite-difference step of fd_hessian
-MAP_TOL = 1e-6  # fit_map stops at gradient norm MAP_TOL * n_params
+NEWTON_TOL = 1e-8  # damped_newton stops at a smaller gradient
 DIVERGENCE_ENERGY = 1000.0
 MAX_LEAPFROG_STEPS = 512
 INIT_JITTER = 0.1            # sd of the jitter around the chains' center
@@ -23,14 +25,6 @@ DIVERGENCE_WARN_FRAC = 0.05  # divergent share of draws that warns
 MAX_METRIC_VARIANCE = 100.0  # cap on the dense metric's position variance
 # dual averaging (Hoffman & Gelman 2014): shrinkage, offset, averaging decay
 DA_GAMMA, DA_T0, DA_KAPPA = 0.05, 10.0, 0.75
-
-
-class ConvergenceError(RuntimeError):
-    """Optimization or sampling failed to converge; carries the best point."""
-
-    def __init__(self, message, best_point=None):
-        super().__init__(message)
-        self.best_point = best_point
 
 
 @dataclass
@@ -63,7 +57,7 @@ class PosteriorDraws:
 
 
 # ---------------------------------------------------------------------------
-# MAP + Laplace
+# curvature and modes
 
 def fd_hessian(grad_fn, x):
     """Central finite differences of an analytic gradient; symmetrized."""
@@ -78,35 +72,33 @@ def fd_hessian(grad_fn, x):
     return 0.5 * (H + H.T)
 
 
-def fit_map(model, init="zeros", max_iter=100):
-    """Levenberg-damped Newton ascent to the posterior mode, on the
-    finite-difference Hessian of ``model.grad``; max_iter counts Newton
-    iterations.
+def damped_newton(log_density, grad, neg_hessian, x, max_iter=100):
+    """Levenberg-damped Newton ascent from ``x`` towards a mode of
+    ``log_density``; returns the last point accepted.
 
-    Returns (map_point, hessian_factor) where hessian_factor is the lower
-    Cholesky factor of the negative Hessian at the mode (the Gaussian
-    precision used by sample_laplace).
+    Each step solves (A + lam I) d = g by Cholesky, A = ``neg_hessian(x)``,
+    and is taken only if the log density does not fall. Where it falls, or
+    A + lam I is not positive definite, lam grows tenfold, which keeps the
+    step an ascent direction where A is indefinite. Stops when every
+    gradient coordinate is below NEWTON_TOL, when no damping gives an
+    ascent, or after max_iter steps.
     """
-    P = model.n_params
-    x = np.zeros(P) if isinstance(init, str) and init == "zeros" \
-        else np.asarray(init, dtype=float)
-    # Levenberg damping keeps the step an ascent direction even where the
-    # Hessian is indefinite
+    x = np.asarray(x, dtype=float)
+    lp = log_density(x)
     lam = 0.0
     for _ in range(max_iter):
-        g = model.grad(x)
-        if np.linalg.norm(g) < MAP_TOL * max(1, P):
+        g = grad(x)
+        if np.abs(g).max() < NEWTON_TOL:
             break
-        A = -fd_hessian(model.grad, x)
+        A = neg_hessian(x)
         scale = max(np.abs(np.diag(A)).max(), 1.0)
-        lp0 = model.log_posterior(x)
         for _ in range(40):
             try:
-                L = np.linalg.cholesky(A + lam * np.eye(P))
+                L = np.linalg.cholesky(A + lam * np.eye(len(x)))
                 x_new = x + np.linalg.solve(L.T, np.linalg.solve(L, g))
-                lp_new = model.log_posterior(x_new)
-                if np.isfinite(lp_new) and lp_new >= lp0:
-                    x = x_new
+                lp_new = log_density(x_new)
+                if np.isfinite(lp_new) and lp_new >= lp:
+                    x, lp = x_new, lp_new
                     lam /= 10.0
                     break
             except np.linalg.LinAlgError:
@@ -114,33 +106,7 @@ def fit_map(model, init="zeros", max_iter=100):
             lam = max(lam * 10.0, 1e-8 * scale)
         else:
             break
-    g = model.grad(x)
-    if np.linalg.norm(g) >= max(MAP_TOL * max(1, P), 1e-4):
-        raise ConvergenceError(
-            f"MAP optimization did not converge after {max_iter} iterations "
-            f"(gradient norm {np.linalg.norm(g):.3g})", best_point=x)
-    neg_H = -fd_hessian(model.grad, x)
-    try:
-        L = np.linalg.cholesky(neg_H)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(neg_H)
-        bad = int(np.argmin(w))
-        raise ConvergenceError(
-            f"negative Hessian not positive definite at optimum; "
-            f"smallest eigenvalue {w[bad]:.3g} along direction "
-            f"{np.array2string(v[:, bad], precision=3)}",
-            best_point=x) from None
-    return x, L
-
-
-def sample_laplace(map_point, hessian_factor, n_draws, seed=0):
-    """Draws from the Gaussian approximation N(map, (L L^T)^-1)."""
-    L = np.asarray(hessian_factor)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_draws, len(map_point)))
-    # x = map + L^-T z has covariance (L L^T)^-1
-    x = map_point + np.linalg.solve(L.T, z.T).T
-    return PosteriorDraws(x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +277,9 @@ def sample_mcmc(model, chains=4, warmup=1000, iters=1000, seed=0,
                 init="map", target_accept=0.8, traj_length=1.2):
     """HMC over the unconstrained parameter vector.
 
-    init: "map" starts chains at the MAP plus Gaussian jitter and uses the
-    curvature there as a fixed dense metric; "diffuse" starts from N(0, 2)
+    init: "map" starts chains at ``model.initial_point()`` plus Gaussian
+    jitter and uses the curvature there as a fixed dense metric, and
+    refuses a model without that method; "diffuse" starts from N(0, 2)
     draws and adapts a diagonal metric during warmup.
 
     Diagnostics (requires chains >= 2) are attached to the result; R-hat
@@ -325,15 +292,10 @@ def sample_mcmc(model, chains=4, warmup=1000, iters=1000, seed=0,
     metric = _DiagMetric(np.ones(P))
     centers = None
     if init == "map":
-        # stabilized mode-finding where available (hierarchical models have a
-        # degenerate joint mode); plain MAP otherwise
-        if hasattr(model, "initial_point"):
-            centers = model.initial_point()
-        else:
-            try:
-                centers, _ = fit_map(model)
-            except ConvergenceError as err:
-                centers = err.best_point
+        if not hasattr(model, "initial_point"):
+            raise ValueError('init="map" needs a model with initial_point(); '
+                             'use init="diffuse"')
+        centers = model.initial_point()
         # full curvature at the center sets a dense metric; this is what
         # handles weakly identified coefficient-sum directions
         metric = _DenseMetric(-fd_hessian(model.grad, centers))

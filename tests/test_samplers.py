@@ -5,11 +5,10 @@ from scipy.special import logit
 from mrpkit.design import ModelSpec, build_layout
 from mrpkit.model import LogDensityModel, PriorConfig
 from mrpkit.samplers import (
-    ConvergenceError,
     PosteriorDraws,
-    fit_map,
+    damped_newton,
+    fd_hessian,
     load_draws,
-    sample_laplace,
     sample_mcmc,
     save_draws,
 )
@@ -50,22 +49,31 @@ class _GaussianStub:
     def grad(self, x):
         return -self.P @ (x - self.mu)
 
+    def initial_point(self):
+        return self.mu.copy()
+
+
+def _newton(model, x0):
+    """damped_newton to the mode of ``model`` on its finite-difference
+    Hessian."""
+    return damped_newton(model.log_posterior, model.grad,
+                         lambda x: -fd_hessian(model.grad, x),
+                         np.asarray(x0, dtype=float))
+
 
 # ---------------------------------------------------------------------------
-# fit_map
+# damped_newton
 
 def test_map_complete_pooling_closed_form():
     # 75 of 100 voting 1 under a flat prior: mode at logit(0.75)
-    model = _BernoulliStub(75, 100)
-    x, L = fit_map(model)
+    x = _newton(_BernoulliStub(75, 100), np.zeros(1))
     assert abs(x[0] - logit(0.75)) < 1e-6
     assert abs(x[0] - 1.0986) < 1e-3
 
 
 def test_map_prior_mode_is_zero():
     # no data, standard-normal prior: mode at the origin
-    model = _GaussianStub(np.zeros(3), np.eye(3))
-    x, L = fit_map(model)
+    x = _newton(_GaussianStub(np.zeros(3), np.eye(3)), np.ones(3))
     assert np.max(np.abs(x)) < 1e-8
 
 
@@ -78,74 +86,38 @@ def test_map_beats_truth_on_synthetic(start):
     truth = draw_truth(sc, states, cells)
     ds = simulate_poll(truth, sc, states, cells)
     model = LogDensityModel(ds, sc.spec)
-    init = model.initial_point() if start == "initial_point" else start
-    x, L = fit_map(model, init=init)
+    init = model.initial_point() if start == "initial_point" \
+        else np.zeros(model.n_params)
+    x = _newton(model, init)
     assert model.log_posterior(x) >= model.log_posterior(truth)
 
 
-def test_map_nonconvergence_carries_best_point():
-    class Unbounded:
-        n_params = 1
-
-        def log_posterior(self, x):
-            return float(x[0])
-
-        def grad(self, x):
-            return np.ones(1)
-
-    with pytest.raises(ConvergenceError) as exc:
-        fit_map(Unbounded(), max_iter=20)
-    assert exc.value.best_point is not None
-
-
-def test_map_flat_hessian_names_direction():
+def test_newton_damps_a_singular_hessian():
+    # x[1] is unidentified, so the negative Hessian is singular: the damped
+    # step still reaches x[0]'s mode and leaves x[1] where it started
     class Flat:
-        n_params = 2
-
         def log_posterior(self, x):
-            return -0.5 * x[0] ** 2  # x[1] unidentified
+            return -0.5 * (x[0] - 2.0) ** 2
 
         def grad(self, x):
-            return np.array([-x[0], 0.0])
+            return np.array([2.0 - x[0], 0.0])
 
-    with pytest.raises(ConvergenceError, match="positive definite"):
-        fit_map(Flat())
-
-
-# ---------------------------------------------------------------------------
-# sample_laplace
-
-def test_laplace_sd_from_hessian():
-    # negative Hessian 4 (curvature -4): sd = 1/2
-    L = np.array([[2.0]])
-    draws = sample_laplace(np.array([1.0]), L, 1000, seed=5)
-    sd = draws.draws.std(ddof=1)
-    assert abs(sd - 0.5) < 0.025
-    assert abs(draws.draws.mean() - 1.0) < 0.05
-
-
-def test_laplace_deterministic():
-    L = np.linalg.cholesky(np.array([[2.0, 0.3], [0.3, 1.0]]))
-    a = sample_laplace(np.zeros(2), L, 50, seed=9)
-    b = sample_laplace(np.zeros(2), L, 50, seed=9)
-    assert np.array_equal(a.draws, b.draws)
+    x = _newton(Flat(), np.array([0.0, 0.7]))
+    assert abs(x[0] - 2.0) < 1e-8
+    assert x[1] == 0.7
 
 
 def test_laplace_matches_mcmc_on_gaussian_target():
-    # exactly Gaussian posterior: the Laplace approximation is exact, so
-    # the two samplers must agree within Monte Carlo error
+    # exactly Gaussian posterior: its Laplace approximation N(mu, P^-1) is
+    # exact, so the draws must match its closed-form mean and sd within
+    # Monte Carlo error
     P = np.array([[2.0, 0.6], [0.6, 1.5]])
     mu = np.array([0.3, -0.7])
-    model = _GaussianStub(mu, P)
-    x, L = fit_map(model)
-    lap = sample_laplace(x, L, 4000, seed=2)
-    mc = sample_mcmc(model, chains=2, warmup=400, iters=2000, seed=3)
-    cov = np.linalg.inv(P)
-    sd = np.sqrt(np.diag(cov))
-    assert np.all(np.abs(lap.draws.mean(axis=0) - mc.draws.mean(axis=0))
-                  < 0.08 * sd)
-    assert np.all(np.abs(lap.draws.std(axis=0) / mc.draws.std(axis=0) - 1.0)
-                  < 0.1)
+    mc = sample_mcmc(_GaussianStub(mu, P), chains=2, warmup=400, iters=2000,
+                     seed=3)
+    sd = np.sqrt(np.diag(np.linalg.inv(P)))
+    assert np.all(np.abs(mc.draws.mean(axis=0) - mu) < 0.08 * sd)
+    assert np.all(np.abs(mc.draws.std(axis=0) / sd - 1.0) < 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +169,11 @@ def test_mcmc_evaluates_each_point_once():
                 init="diffuse")
     for name, calls in seen.items():
         assert len(calls) == len(set(calls)), name
+
+
+def test_mcmc_map_init_needs_initial_point():
+    with pytest.raises(ValueError, match="initial_point"):
+        sample_mcmc(_BernoulliStub(3, 10))
 
 
 @pytest.mark.parametrize("init", ["zeros", np.zeros(1)],
