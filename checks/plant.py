@@ -51,6 +51,11 @@ CATALOGUE = (
         "quad = float((a * a + b * b).sum())",
         "M2 log_posterior drops the intercept-slope correlation term; grad "
         "keeps it"),
+    Bug("m2-precision-rho", "src/mrpkit/model.py",
+        "off = -rho / (sa * ss)",
+        "off = 0.0",
+        "initial_point's Newton steps take an M2 location precision without "
+        "the intercept-slope correlation term"),
     Bug("beta-prior-grad", "src/mrpkit/model.py",
         'g[self._beta] += -p["beta"] / cs ** 2',
         'g[self._beta] += -p["beta"] / cs',

@@ -31,6 +31,7 @@ from mrpkit.design import (
     predictor_matrix,
     unit_index,
 )
+from mrpkit.samplers import damped_newton
 
 LOG_2PI = np.log(2.0 * np.pi)
 INITIAL_POINT_ROUNDS = 3  # conditional-MAP / scale-update alternations
@@ -262,39 +263,86 @@ class LogDensityModel:
 
     # -- initialization ------------------------------------------------------
 
+    def _locations(self) -> np.ndarray:
+        """Indexes of the location coordinates: all but the log scales and
+        atanh(rho)."""
+        scales = [self._sa]
+        if self._varying_slope:
+            scales += [self._ss, self._corr]
+        if self._category_offsets:
+            scales.append(self._sc)
+        return np.setdiff1d(np.arange(self.n_params), scales)
+
+    def _location_precision(self, params) -> np.ndarray:
+        """Negative Hessian of log_posterior over the location coordinates
+        at ``params``, exact: eta is linear in them, so the likelihood
+        gives X diag(n p (1 - p)) X^T, and with the scales held the
+        hierarchy and the prior are Gaussian in them."""
+        P, S = self.n_params, self.layout.n_states
+        p = self._unpack(params)
+        X = eta_kernel(np.eye(P), self._idx)  # eta = params @ X
+        pr = self._expit(eta_kernel(params, self._idx))
+        A = (X * (self.n_c * pr * (1.0 - pr))) @ X.T
+
+        # residual maps: u = alpha - W gamma, v = slope - slope_mu
+        sa = _exp_clip(p["log_sa"])
+        R = np.zeros((S, P))
+        R[:, self._alpha] = np.eye(S)
+        R[:, self._gamma] = -self.W
+        if not self._varying_slope:
+            cov_inv = np.array([[sa ** -2]])
+        else:
+            V = np.zeros((S, P))
+            V[:, self._slope] = np.eye(S)
+            V[:, self._mu] = -1.0
+            R = np.vstack([R, V])
+            ss = _exp_clip(p["log_ss"])
+            rho = np.tanh(p["zrho"])
+            off = -rho / (sa * ss)
+            cov_inv = np.array([[sa ** -2, off], [off, ss ** -2]]) \
+                / (1.0 - rho ** 2)
+        A += R.T @ np.kron(cov_inv, np.eye(S)) @ R
+
+        d = np.zeros(P)  # the diagonal of the offsets and the prior
+        if self._category_offsets:
+            d[self._cat] = _exp_clip(p["log_sc"]) ** -2
+        if self.prior.mode == "weak":
+            d[self._beta] = d[self._gamma] = self.prior.coef_scale ** -2
+            if self._varying_slope:
+                d[self._mu] = self.prior.coef_scale ** -2
+        A[np.diag_indices(P)] += d
+        loc = self._locations()
+        return A[np.ix_(loc, loc)]
+
+    def _conditional_mode(self, params) -> np.ndarray:
+        """``params`` with the location coordinates moved to their mode
+        given its scales, by damped Newton on the exact Hessian. The
+        conditional problem is concave, so Newton takes a few steps."""
+        loc = self._locations()
+
+        def at(xl):
+            y = np.array(params, dtype=float)
+            y[loc] = xl
+            return y
+
+        xl = damped_newton(lambda xl: self.log_posterior(at(xl)),
+                           lambda xl: self.grad(at(xl))[loc],
+                           lambda xl: self._location_precision(at(xl)),
+                           np.asarray(params, dtype=float)[loc])
+        return at(xl)
+
     def initial_point(self):
-        """Stable starting point for sampling: concave conditional MAP over
+        """Stable starting point for sampling: the conditional mode of the
         location parameters with the scales held fixed, alternated with
-        moment updates of the scales.
+        moment updates of the scales, from zeros.
 
         The joint posterior mode of a hierarchical model can sit in the
         degenerate scale funnel; this point sits where the posterior mass is
         and is what chain initialization and preconditioning use.
         """
-        import scipy.optimize
-
-        fixed = [self._sa]
-        if self._varying_slope:
-            fixed += [self._ss, self._corr]
-        if self._category_offsets:
-            fixed.append(self._sc)
-        free = np.setdiff1d(np.arange(self.n_params), fixed)
         x = np.zeros(self.n_params)
         for _ in range(INITIAL_POINT_ROUNDS):
-            def neg(xf):
-                y = x.copy()
-                y[free] = xf
-                return -self.log_posterior(y)
-
-            def neg_grad(xf):
-                y = x.copy()
-                y[free] = xf
-                return -self.grad(y)[free]
-
-            res = scipy.optimize.minimize(neg, x[free], jac=neg_grad,
-                                          method="L-BFGS-B",
-                                          options={"maxiter": 300})
-            x[free] = res.x
+            x = self._conditional_mode(x)
             p = self._unpack(x)
             u = p["alpha"] - self.W @ p["gamma"]
             x[self._sa] = np.log(max(float(np.std(u)), 1e-2))

@@ -1,3 +1,4 @@
+import ast
 import csv
 import filecmp
 import hashlib
@@ -612,6 +613,19 @@ def test_reporting_commands_load_no_scipy(fitted_run, tmp_path):
     assert out[-2:] == ["[0, 0, 0, 0]", "[]"]  # after the commands' output
     assert (run / "estimates_income_draws.csv").exists()
     assert (run / "diagnostics.csv").exists()
+
+
+def test_fit_loads_no_scipy_optimize(fitted_run, tmp_path):
+    # initial_point's Newton steps are numpy; a fit loads scipy.special for
+    # the gradient's expit, and nothing of scipy.optimize
+    _, _, cfg = _refit_copy(fitted_run, tmp_path)
+    out = _run_python("import sys\nfrom mrpkit.cli import main\n"
+                      f"print(main(['fit', '--config', {cfg!r}]))\n"
+                      + _PRINT_SCIPY)
+    assert out[-2] in ("0", "3")  # short test chains may be non-converged
+    loaded = ast.literal_eval(out[-1])
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.optimize")]
 
 
 def test_diagnose_table(fitted_run):

@@ -9,8 +9,9 @@ import mrpkit.model
 from mrpkit.data import N_INCOME, Dataset
 from mrpkit.design import (ModelSpec, build_layout, eta_adjoint, eta_kernel,
                            predictor_matrix)
-from mrpkit.model import LOG_2PI, LogDensityModel, PriorConfig
-from mrpkit.samplers import sample_mcmc
+from mrpkit.model import (INITIAL_POINT_ROUNDS, LOG_2PI, LogDensityModel,
+                          PriorConfig)
+from mrpkit.samplers import fd_hessian, sample_mcmc
 
 from conftest import make_cell_table, make_state_table, survey_from_rows
 
@@ -153,6 +154,47 @@ def test_initial_point_is_finite_and_stable():
     assert np.isfinite(model.log_posterior(x))
     # the conditional-MAP point should beat the all-zeros start
     assert model.log_posterior(x) > model.log_posterior(np.zeros(model.n_params))
+
+
+@pytest.mark.parametrize("use_eth", [False, True], ids=["no_eth", "eth"])
+@pytest.mark.parametrize("mode", ["weak", "uniform"])
+@pytest.mark.parametrize("rung", ["M1", "M2", "M3"])
+def test_location_precision_is_the_exact_hessian(rung, mode, use_eth):
+    # the Newton steps' curvature against central differences of grad, on
+    # the block of the location coordinates (all but the scales and rho)
+    model = _toy_model(S=4, rung=rung, prior=PriorConfig(mode),
+                       use_eth=use_eth, seed=3, n=400)
+    loc = model._locations()
+    assert len(loc) == model.n_params - {"M1": 1, "M2": 3, "M3": 4}[rung]
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        x = 0.5 * rng.standard_normal(model.n_params)
+        want = -fd_hessian(model.grad, x)[np.ix_(loc, loc)]
+        got = model._location_precision(x)
+        assert np.abs(got - want).max() < 1e-7 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mode", ["weak", "uniform"])
+@pytest.mark.parametrize("rung", ["M1", "M2", "M3"])
+def test_initial_point_newton_points_are_conditional_modes(rung, mode):
+    # each round's Newton point, before its scale update, zeroes the
+    # gradient of the location coordinates and keeps the scales it was given
+    model = _toy_model(S=5, rung=rung, prior=PriorConfig(mode), seed=6,
+                       n=1500)
+    loc = model._locations()
+    solve, points = model._conditional_mode, []
+
+    def recorded(x):
+        y = solve(x)
+        points.append((x.copy(), y.copy()))  # initial_point then updates y
+        return y
+
+    model._conditional_mode = recorded
+    model.initial_point()
+    assert len(points) == INITIAL_POINT_ROUNDS
+    for x, y in points:
+        assert np.abs(model.grad(y)[loc]).max() < 1e-6
+        assert np.array_equal(np.delete(y, loc), np.delete(x, loc))
 
 
 def test_prior_config_validation():
