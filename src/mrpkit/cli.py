@@ -50,6 +50,7 @@ class RunConfig:
     state_predictors: tuple[str, ...] = DEFAULT_STATE_PREDICTORS
     prior_mode: str = PriorConfig.mode
     coef_scale: float = PriorConfig.coef_scale
+    log_scale_sd: float = PriorConfig.log_scale_sd
     chains: int = 4
     warmup: int = 1000
     iters: int = 1000
@@ -63,7 +64,8 @@ class RunConfig:
 
     @property
     def prior(self) -> PriorConfig:
-        return PriorConfig(self.prior_mode, self.coef_scale)
+        return PriorConfig(self.prior_mode, self.coef_scale,
+                           self.log_scale_sd)
 
 
 # [section] key -> RunConfig field, for every key fit, poststratify and
@@ -74,6 +76,7 @@ RUN_KEYS = {
     ("model", "rung"): "rung", ("model", "use_ethnicity"): "use_ethnicity",
     ("model", "state_predictors"): "state_predictors",
     ("prior", "mode"): "prior_mode", ("prior", "coef_scale"): "coef_scale",
+    ("prior", "log_scale_sd"): "log_scale_sd",
     ("sampler", "chains"): "chains", ("sampler", "warmup"): "warmup",
     ("sampler", "iters"): "iters", ("sampler", "seed"): "seed",
     ("output", "dir"): "outdir",
@@ -355,9 +358,12 @@ def cmd_simulate(config_path) -> int:
     except ValueError as err:
         raise refused("kind", err) from None
     try:
-        ModelSpec(sim.rung)  # checked for both kinds; the red/blue world is M2
+        ModelSpec(sim.rung)  # checked for both kinds
     except ValueError as err:
         raise refused("rung", err) from None
+    if sim.kind == "redblue" and cp.has_option("scenario", "rung") \
+            and sim.rung != "M2":
+        raise refused("rung", "the red/blue world is M2")
     if sim.kind == "redblue" and cp.has_option("scenario", "use_ethnicity"):
         raise refused("use_ethnicity", "the red/blue world has no ethnicity")
     paths = write_scenario_files(scenario, sim.outdir)

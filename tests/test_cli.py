@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from mrpkit import cli
-from mrpkit.cli import main
+from mrpkit.cli import main, read_config
 from mrpkit.data import load_states, load_survey
 from mrpkit.design import ModelSpec
+from mrpkit.model import PriorConfig
 from mrpkit.synthetic import Scenario, write_scenario_files
 
 
@@ -23,12 +24,14 @@ def _sha(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
-def _sim_config(tmp_path, S=6, n=800, seed=3, kind="basic", rung="M1"):
+def _sim_config(tmp_path, S=6, n=800, seed=3, kind="basic", rung=None):
+    """A simulate config; without ``rung`` it has no rung key, which
+    simulate reads as M1 for the basic kind."""
     outdir = tmp_path / "sim"
     cfg = tmp_path / "sim.ini"
     cfg.write_text(f"[scenario]\nkind = {kind}\nS = {S}\nn = {n}\n"
-                   f"seed = {seed}\nrung = {rung}\noutdir = {outdir}\n",
-                   encoding="utf-8")
+                   f"seed = {seed}\noutdir = {outdir}\n"
+                   + (f"rung = {rung}\n" if rung else ""), encoding="utf-8")
     return str(cfg), outdir
 
 
@@ -59,7 +62,8 @@ def fitted_run(tmp_path_factory):
 
 
 def test_simulate_writes_four_files(tmp_path):
-    simcfg, outdir = _sim_config(tmp_path, kind="redblue", S=12, n=1000)
+    simcfg, outdir = _sim_config(tmp_path, kind="redblue", S=12, n=1000,
+                                 rung="M2")
     assert main(["simulate", "--config", simcfg]) == 0
     for name in ("survey.csv", "cells.csv", "states.csv", "truth.csv"):
         assert (outdir / name).exists()
@@ -144,14 +148,15 @@ def test_fit_config_rejects_unknown_keys(tmp_path, capsys, text, named):
 @pytest.mark.parametrize("key,value", [
     ("chains", "two"), ("chains", 0), ("chains", 1), ("warmup", -5),
     ("iters", 0), ("seed", -1), ("coef_scale", -1), ("coef_scale", "nan"),
-    ("rung", "M9"), ("state_predictors", "avg_income,foo"),
+    ("log_scale_sd", 0), ("rung", "M9"), ("state_predictors", "avg_income,foo"),
 ])
 def test_fit_config_rejects_bad_values(fitted_run, tmp_path, capsys, key,
                                        value):
     # each is refused before any data is read: no fit, no run directory
     _, _, datadir, _ = fitted_run
     outdir = tmp_path / "run"
-    setting = {"coef_scale": {"extra": f"[prior]\ncoef_scale = {value}\n"},
+    setting = {"coef_scale": {"extra": f"[prior]\n{key} = {value}\n"},
+               "log_scale_sd": {"extra": f"[prior]\n{key} = {value}\n"},
                "state_predictors": {"model": f"{key} = {value}\n"}
                }.get(key, {key: value})
     cfg = _fit_config(tmp_path, datadir, outdir, **setting)
@@ -159,6 +164,14 @@ def test_fit_config_rejects_bad_values(fitted_run, tmp_path, capsys, key,
     err = capsys.readouterr().err
     assert os.path.basename(cfg) in err and key in err
     assert not outdir.exists()
+
+
+def test_fit_config_sets_log_scale_sd(tmp_path):
+    cfg = tmp_path / "prior.ini"
+    cfg.write_text("[prior]\nlog_scale_sd = 0.5\n", encoding="utf-8")
+    assert read_config(cfg).prior == PriorConfig(log_scale_sd=0.5)
+    assert read_config(_fit_config(tmp_path, "d", "r")).prior \
+        == PriorConfig()
 
 
 def test_simulate_config_rejects_unknown_key(tmp_path, capsys):
@@ -183,6 +196,17 @@ def test_simulate_config_rejects_bad_values(tmp_path, capsys, recwarn, key,
     err = capsys.readouterr().err
     assert "sim.ini" in err and f"[scenario] {key.lower()} = " in err
     assert not recwarn.list
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("rung", ["M1", "M3"])
+def test_simulate_redblue_refuses_other_rungs(tmp_path, capsys, rung):
+    # the red/blue world is M2; another rung would be ignored
+    cfg, outdir = _sim_config(tmp_path, kind="redblue", S=12, n=1000,
+                              rung=rung)
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "sim.ini" in err and f"[scenario] rung = '{rung}'" in err
     assert not outdir.exists()
 
 
