@@ -246,6 +246,18 @@ def test_calibrate_matches_grid_oracle():
     assert abs(deltas[0, 0] - best) < 2e-5  # grid spacing 1e-5
 
 
+def test_calibrate_brackets_an_overshooting_newton_step():
+    # a state of two cells at logits -30 and 30: its share is flat at 1/2
+    # between them, so the first Newton step overshoots far past the root,
+    # and the next point is the midpoint of the closed bracket
+    cells = CellTable([1, 1, 2], [1, 2, 1], [0] * 3, [1.0] * 3, [1.0] * 3)
+    est = _estimates(cells, [[-30.0, 30.0, 0.0]])
+    cal, deltas = calibrate_to_totals(est, np.array([0.3, 0.5]))
+    assert abs(poststratify(cal, ("state",)).theta[0, 0] - 0.3) < 1e-10
+    # the cell at -30 + delta adds below 1e-25: expit(30 + delta) = 0.6
+    assert abs(deltas[0, 0] - (logit(0.6) - 30.0)) < 1e-10
+
+
 def test_calibrate_idempotent():
     rng = np.random.default_rng(11)
     cells = make_cell_table(6, seed=11)
