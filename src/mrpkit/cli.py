@@ -64,8 +64,7 @@ class RunConfig:
 
     @property
     def prior(self) -> PriorConfig:
-        return PriorConfig(self.prior_mode, self.coef_scale,
-                           self.log_scale_sd)
+        return PriorConfig(self.prior_mode, self.coef_scale, self.log_scale_sd)
 
 
 # [section] key -> RunConfig field, for every key fit, poststratify and
@@ -359,11 +358,11 @@ def cmd_simulate(config_path) -> int:
         raise refused("kind", err) from None
     try:
         ModelSpec(sim.rung)  # checked for both kinds
+        if sim.kind == "redblue" and sim.rung != "M2" \
+                and cp.has_option("scenario", "rung"):
+            raise ValueError("the red/blue world is M2")
     except ValueError as err:
         raise refused("rung", err) from None
-    if sim.kind == "redblue" and cp.has_option("scenario", "rung") \
-            and sim.rung != "M2":
-        raise refused("rung", "the red/blue world is M2")
     if sim.kind == "redblue" and cp.has_option("scenario", "use_ethnicity"):
         raise refused("use_ethnicity", "the red/blue world has no ethnicity")
     paths = write_scenario_files(scenario, sim.outdir)

@@ -101,12 +101,17 @@ class LogDensityModel:
         self._beta, self._gamma, self._alpha = (
             lay.sl(n) for n in ("beta", "gamma", "alpha"))
         self._sa = lay.sl("sigma_alpha").start
+        scales = [self._sa]
         if self._varying_slope:
             self._slope = lay.sl("slope")
             self._mu, self._ss, self._corr = (
                 lay.sl(n).start for n in ("slope_mu", "slope_sigma", "corr"))
+            scales += [self._ss, self._corr]
         if self._category_offsets:
             self._cat, self._sc = lay.sl("cat"), lay.sl("sigma_cat").start
+            scales.append(self._sc)
+        # the location coordinates: all but the log scales and atanh(rho)
+        self._loc = np.delete(np.arange(self.n_params), scales)
 
     # -- parameter unpacking -------------------------------------------------
 
@@ -263,16 +268,6 @@ class LogDensityModel:
 
     # -- initialization ------------------------------------------------------
 
-    def _locations(self) -> np.ndarray:
-        """Indexes of the location coordinates: all but the log scales and
-        atanh(rho)."""
-        scales = [self._sa]
-        if self._varying_slope:
-            scales += [self._ss, self._corr]
-        if self._category_offsets:
-            scales.append(self._sc)
-        return np.setdiff1d(np.arange(self.n_params), scales)
-
     def _location_precision(self, params) -> np.ndarray:
         """Negative Hessian of log_posterior over the location coordinates
         at ``params``, exact: eta is linear in them, so the likelihood
@@ -280,30 +275,26 @@ class LogDensityModel:
         hierarchy and the prior are Gaussian in them."""
         P, S = self.n_params, self.layout.n_states
         p = self._unpack(params)
-        X = eta_kernel(np.eye(P), self._idx)  # eta = params @ X
+        E = np.eye(P)
+        X = eta_kernel(E, self._idx)  # eta = params @ X
         pr = self._expit(eta_kernel(params, self._idx))
         A = (X * (self.n_c * pr * (1.0 - pr))) @ X.T
 
-        # residual maps: u = alpha - W gamma, v = slope - slope_mu
+        # the hierarchy's residuals: u = alpha - W gamma = params @ R, and
+        # v = slope - slope_mu in R's second half
+        R = E[:, self._alpha] - E[:, self._gamma] @ self.W.T
         sa = _exp_clip(p["log_sa"])
-        R = np.zeros((S, P))
-        R[:, self._alpha] = np.eye(S)
-        R[:, self._gamma] = -self.W
         if not self._varying_slope:
             cov_inv = np.array([[sa ** -2]])
         else:
-            V = np.zeros((S, P))
-            V[:, self._slope] = np.eye(S)
-            V[:, self._mu] = -1.0
-            R = np.vstack([R, V])
-            ss = _exp_clip(p["log_ss"])
-            rho = np.tanh(p["zrho"])
+            R = np.hstack([R, E[:, self._slope] - E[:, [self._mu]]])
+            ss, rho = _exp_clip(p["log_ss"]), np.tanh(p["zrho"])
             off = -rho / (sa * ss)
             cov_inv = np.array([[sa ** -2, off], [off, ss ** -2]]) \
                 / (1.0 - rho ** 2)
-        A += R.T @ np.kron(cov_inv, np.eye(S)) @ R
+        A += R @ np.kron(cov_inv, np.eye(S)) @ R.T
 
-        d = np.zeros(P)  # the diagonal of the offsets and the prior
+        d = np.zeros(P)  # the offsets' and the prior's precision
         if self._category_offsets:
             d[self._cat] = _exp_clip(p["log_sc"]) ** -2
         if self.prior.mode == "weak":
@@ -311,24 +302,21 @@ class LogDensityModel:
             if self._varying_slope:
                 d[self._mu] = self.prior.coef_scale ** -2
         A[np.diag_indices(P)] += d
-        loc = self._locations()
-        return A[np.ix_(loc, loc)]
+        return A[np.ix_(self._loc, self._loc)]
 
     def _conditional_mode(self, params) -> np.ndarray:
         """``params`` with the location coordinates moved to their mode
         given its scales, by damped Newton on the exact Hessian. The
         conditional problem is concave, so Newton takes a few steps."""
-        loc = self._locations()
-
         def at(xl):
             y = np.array(params, dtype=float)
-            y[loc] = xl
+            y[self._loc] = xl
             return y
 
         xl = damped_newton(lambda xl: self.log_posterior(at(xl)),
-                           lambda xl: self.grad(at(xl))[loc],
+                           lambda xl: self.grad(at(xl))[self._loc],
                            lambda xl: self._location_precision(at(xl)),
-                           np.asarray(params, dtype=float)[loc])
+                           np.asarray(params, dtype=float)[self._loc])
         return at(xl)
 
     def initial_point(self):

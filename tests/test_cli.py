@@ -148,7 +148,8 @@ def test_fit_config_rejects_unknown_keys(tmp_path, capsys, text, named):
 @pytest.mark.parametrize("key,value", [
     ("chains", "two"), ("chains", 0), ("chains", 1), ("warmup", -5),
     ("iters", 0), ("seed", -1), ("coef_scale", -1), ("coef_scale", "nan"),
-    ("log_scale_sd", 0), ("rung", "M9"), ("state_predictors", "avg_income,foo"),
+    ("log_scale_sd", 0), ("rung", "M9"),
+    ("state_predictors", "avg_income,foo"),
 ])
 def test_fit_config_rejects_bad_values(fitted_run, tmp_path, capsys, key,
                                        value):

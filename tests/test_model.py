@@ -164,7 +164,7 @@ def test_location_precision_is_the_exact_hessian(rung, mode, use_eth):
     # the block of the location coordinates (all but the scales and rho)
     model = _toy_model(S=4, rung=rung, prior=PriorConfig(mode),
                        use_eth=use_eth, seed=3, n=400)
-    loc = model._locations()
+    loc = model._loc
     assert len(loc) == model.n_params - {"M1": 1, "M2": 3, "M3": 4}[rung]
     rng = np.random.default_rng(8)
     for _ in range(3):
@@ -181,7 +181,7 @@ def test_initial_point_newton_points_are_conditional_modes(rung, mode):
     # gradient of the location coordinates and keeps the scales it was given
     model = _toy_model(S=5, rung=rung, prior=PriorConfig(mode), seed=6,
                        n=1500)
-    loc = model._locations()
+    loc = model._loc
     solve, points = model._conditional_mode, []
 
     def recorded(x):
