@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 FD_STEP = 1e-5  # relative finite-difference step of fd_hessian
-NEWTON_TOL = 1e-8  # damped_newton stops at a smaller gradient
+NEWTON_TOL = 1e-8  # damped_newton stops where every |gradient| is smaller
 DIVERGENCE_ENERGY = 1000.0
 MAX_LEAPFROG_STEPS = 512
 INIT_JITTER = 0.1            # sd of the jitter around the chains' center
@@ -72,7 +72,7 @@ def fd_hessian(grad_fn, x):
     return 0.5 * (H + H.T)
 
 
-def damped_newton(log_density, grad, neg_hessian, x, max_iter=100):
+def damped_newton(log_density, grad, neg_hessian, x):
     """Levenberg-damped Newton ascent from ``x`` towards a mode of
     ``log_density``; returns the last point accepted.
 
@@ -81,12 +81,12 @@ def damped_newton(log_density, grad, neg_hessian, x, max_iter=100):
     A + lam I is not positive definite, lam grows tenfold, which keeps the
     step an ascent direction where A is indefinite. Stops when every
     gradient coordinate is below NEWTON_TOL, when no damping gives an
-    ascent, or after max_iter steps.
+    ascent, or after 100 steps.
     """
     x = np.asarray(x, dtype=float)
     lp = log_density(x)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(100):
         g = grad(x)
         if np.abs(g).max() < NEWTON_TOL:
             break
