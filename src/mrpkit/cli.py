@@ -50,7 +50,6 @@ class RunConfig:
     state_predictors: tuple[str, ...] = DEFAULT_STATE_PREDICTORS
     prior_mode: str = PriorConfig.mode
     coef_scale: float = PriorConfig.coef_scale
-    log_scale_sd: float = PriorConfig.log_scale_sd
     chains: int = 4
     warmup: int = 1000
     iters: int = 1000
@@ -64,7 +63,7 @@ class RunConfig:
 
     @property
     def prior(self) -> PriorConfig:
-        return PriorConfig(self.prior_mode, self.coef_scale, self.log_scale_sd)
+        return PriorConfig(self.prior_mode, self.coef_scale)
 
 
 # [section] key -> RunConfig field, for every key fit, poststratify and
@@ -75,7 +74,6 @@ RUN_KEYS = {
     ("model", "rung"): "rung", ("model", "use_ethnicity"): "use_ethnicity",
     ("model", "state_predictors"): "state_predictors",
     ("prior", "mode"): "prior_mode", ("prior", "coef_scale"): "coef_scale",
-    ("prior", "log_scale_sd"): "log_scale_sd",
     ("sampler", "chains"): "chains", ("sampler", "warmup"): "warmup",
     ("sampler", "iters"): "iters", ("sampler", "seed"): "seed",
     ("output", "dir"): "outdir",

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from mrpkit import cli
-from mrpkit.cli import main, read_config
+from mrpkit.cli import main
 from mrpkit.data import load_states, load_survey
 from mrpkit.design import ModelSpec
-from mrpkit.model import PriorConfig
 from mrpkit.synthetic import Scenario, write_scenario_files
 
 
@@ -148,16 +147,14 @@ def test_fit_config_rejects_unknown_keys(tmp_path, capsys, text, named):
 @pytest.mark.parametrize("key,value", [
     ("chains", "two"), ("chains", 0), ("chains", 1), ("warmup", -5),
     ("iters", 0), ("seed", -1), ("coef_scale", -1), ("coef_scale", "nan"),
-    ("log_scale_sd", 0), ("rung", "M9"),
-    ("state_predictors", "avg_income,foo"),
+    ("rung", "M9"), ("state_predictors", "avg_income,foo"),
 ])
 def test_fit_config_rejects_bad_values(fitted_run, tmp_path, capsys, key,
                                        value):
     # each is refused before any data is read: no fit, no run directory
     _, _, datadir, _ = fitted_run
     outdir = tmp_path / "run"
-    setting = {"coef_scale": {"extra": f"[prior]\n{key} = {value}\n"},
-               "log_scale_sd": {"extra": f"[prior]\n{key} = {value}\n"},
+    setting = {"coef_scale": {"extra": f"[prior]\ncoef_scale = {value}\n"},
                "state_predictors": {"model": f"{key} = {value}\n"}
                }.get(key, {key: value})
     cfg = _fit_config(tmp_path, datadir, outdir, **setting)
@@ -165,14 +162,6 @@ def test_fit_config_rejects_bad_values(fitted_run, tmp_path, capsys, key,
     err = capsys.readouterr().err
     assert os.path.basename(cfg) in err and key in err
     assert not outdir.exists()
-
-
-def test_fit_config_sets_log_scale_sd(tmp_path):
-    cfg = tmp_path / "prior.ini"
-    cfg.write_text("[prior]\nlog_scale_sd = 0.5\n", encoding="utf-8")
-    assert read_config(cfg).prior == PriorConfig(log_scale_sd=0.5)
-    assert read_config(_fit_config(tmp_path, "d", "r")).prior \
-        == PriorConfig()
 
 
 def test_simulate_config_rejects_unknown_key(tmp_path, capsys):
