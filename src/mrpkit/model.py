@@ -65,6 +65,24 @@ def _exp_clip(x):
     return np.exp(min(max(x, -300.0), 300.0))
 
 
+def _column_pairs(M):
+    """For _gram: the products M[i, c] M[j, c] of an L x N matrix's
+    entries that share a column (k x k x N, for k nonzeros a column at
+    most) and their flat indices i * L + j."""
+    k = max(int(np.count_nonzero(M, axis=0).max()), 1)
+    rows = np.argsort(M == 0, axis=0, kind="stable")[:k]  # nonzeros first
+    vals = np.take_along_axis(M, rows, axis=0)
+    return len(M), (rows[:, None] * len(M) + rows).ravel(), vals[:, None] * vals
+
+
+def _gram(pairs, w):
+    """M diag(w) M^T from M's _column_pairs, by one bincount in O(N k^2).
+    A BLAS product would be O(N L^2), and OpenBLAS threads it: on a loaded
+    machine one such call can stall for a second."""
+    L, flat, prod = pairs
+    return np.bincount(flat, (prod * w).ravel(), L * L).reshape(L, L)
+
+
 class LogDensityModel:
     """Posterior density of one dataset under one model spec.
 
@@ -112,6 +130,17 @@ class LogDensityModel:
             scales.append(self._sc)
         # the location coordinates: all but the log scales and atanh(rho)
         self._loc = np.delete(np.arange(self.n_params), scales)
+
+        # the linear maps of the location coordinates, for initial_point's
+        # Newton steps: eta = params[loc] @ X, u = alpha - W gamma =
+        # params[loc] @ R, and v = slope - slope_mu = params[loc] @ Rv
+        E = np.eye(self.n_params)[self._loc]
+        self._X_pairs = _column_pairs(eta_kernel(E, self._idx))
+        R = E[:, self._alpha] - E[:, self._gamma] @ self.W.T
+        if self._varying_slope:
+            Rv = E[:, self._slope] - E[:, [self._mu]]
+            R = np.hstack([R, Rv, R + Rv])
+        self._R_pairs = _column_pairs(R)
 
     # -- parameter unpacking -------------------------------------------------
 
@@ -268,41 +297,42 @@ class LogDensityModel:
 
     # -- initialization ------------------------------------------------------
 
-    def _location_precision(self, params) -> np.ndarray:
-        """Negative Hessian of log_posterior over the location coordinates
-        at ``params``, exact: eta is linear in them, so the likelihood
-        gives X diag(n p (1 - p)) X^T, and with the scales held the
-        hierarchy and the prior are Gaussian in them."""
-        P, S = self.n_params, self.layout.n_states
-        p = self._unpack(params)
-        E = np.eye(P)
-        X = eta_kernel(E, self._idx)  # eta = params @ X
+    def _likelihood_precision(self, params) -> np.ndarray:
+        """Negative Hessian of the log likelihood over the location
+        coordinates at ``params``: eta is linear in them, so it is exactly
+        X diag(n p (1 - p)) X^T."""
         pr = self._expit(eta_kernel(params, self._idx))
-        A = (X * (self.n_c * pr * (1.0 - pr))) @ X.T
+        return _gram(self._X_pairs, self.n_c * pr * (1.0 - pr))
 
-        # the hierarchy's residuals: u = alpha - W gamma = params @ R, and
-        # v = slope - slope_mu in R's second half
-        R = E[:, self._alpha] - E[:, self._gamma] @ self.W.T
+    def _hierarchy_precision(self, params) -> np.ndarray:
+        """Negative Hessian of the hierarchy and the prior over the location
+        coordinates: with the scales of ``params`` held they are Gaussian in
+        them, so it depends on the scales alone. Added to
+        _likelihood_precision it is the exact location Hessian."""
+        p = self._unpack(params)
+        S = self.layout.n_states
         sa = _exp_clip(p["log_sa"])
         if not self._varying_slope:
-            cov_inv = np.array([[sa ** -2]])
+            w = np.full(S, sa ** -2)
         else:
-            R = np.hstack([R, E[:, self._slope] - E[:, [self._mu]]])
+            # u and v through their 2x2 inverse covariance; R_pairs stacks
+            # [R, Rv, R + Rv], and R Rv^T + Rv R^T = (R + Rv)(R + Rv)^T
+            # - R R^T - Rv Rv^T
             ss, rho = _exp_clip(p["log_ss"]), np.tanh(p["zrho"])
             off = -rho / (sa * ss)
-            cov_inv = np.array([[sa ** -2, off], [off, ss ** -2]]) \
+            w = np.repeat([sa ** -2 - off, ss ** -2 - off, off], S) \
                 / (1.0 - rho ** 2)
-        A += R @ np.kron(cov_inv, np.eye(S)) @ R.T
+        A = _gram(self._R_pairs, w)
 
-        d = np.zeros(P)  # the offsets' and the prior's precision
+        d = np.zeros(self.n_params)  # the offsets' and the prior's precision
         if self._category_offsets:
             d[self._cat] = _exp_clip(p["log_sc"]) ** -2
         if self.prior.mode == "weak":
             d[self._beta] = d[self._gamma] = self.prior.coef_scale ** -2
             if self._varying_slope:
                 d[self._mu] = self.prior.coef_scale ** -2
-        A[np.diag_indices(P)] += d
-        return A[np.ix_(self._loc, self._loc)]
+        A[np.diag_indices_from(A)] += d[self._loc]
+        return A
 
     def _conditional_mode(self, params) -> np.ndarray:
         """``params`` with the location coordinates moved to their mode
@@ -313,9 +343,11 @@ class LogDensityModel:
             y[self._loc] = xl
             return y
 
+        held = self._hierarchy_precision(params)
         xl = damped_newton(lambda xl: self.log_posterior(at(xl)),
                            lambda xl: self.grad(at(xl))[self._loc],
-                           lambda xl: self._location_precision(at(xl)),
+                           lambda xl: self._likelihood_precision(at(xl))
+                           + held,
                            np.asarray(params, dtype=float)[self._loc])
         return at(xl)
 

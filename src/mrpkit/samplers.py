@@ -72,6 +72,19 @@ def fd_hessian(grad_fn, x):
     return 0.5 * (H + H.T)
 
 
+def _cholesky_solve(L, b):
+    """(L L^T)^-1 b for a lower-triangular L, by forward and then back
+    substitution in place. np.linalg.solve would factor L again by LU,
+    which OpenBLAS threads from n = 100 or so: on a loaded machine one such
+    call stalls for 0.2 s or more."""
+    x = np.array(b, dtype=float)
+    for i in range(len(x)):
+        x[i] = (x[i] - L[i, :i] @ x[:i]) / L[i, i]
+    for i in range(len(x) - 1, -1, -1):
+        x[i] = (x[i] - L[i + 1:, i] @ x[i + 1:]) / L[i, i]
+    return x
+
+
 def damped_newton(log_density, grad, neg_hessian, x):
     """Levenberg-damped Newton ascent from ``x`` towards a mode of
     ``log_density``; returns the last point accepted.
@@ -95,7 +108,7 @@ def damped_newton(log_density, grad, neg_hessian, x):
         for _ in range(40):
             try:
                 L = np.linalg.cholesky(A + lam * np.eye(len(x)))
-                x_new = x + np.linalg.solve(L.T, np.linalg.solve(L, g))
+                x_new = x + _cholesky_solve(L, g)
                 lp_new = log_density(x_new)
                 if np.isfinite(lp_new) and lp_new >= lp:
                     x, lp = x_new, lp_new

@@ -170,7 +170,7 @@ def test_location_precision_is_the_exact_hessian(rung, mode, use_eth):
     for _ in range(3):
         x = 0.5 * rng.standard_normal(model.n_params)
         want = -fd_hessian(model.grad, x)[np.ix_(loc, loc)]
-        got = model._location_precision(x)
+        got = model._likelihood_precision(x) + model._hierarchy_precision(x)
         assert np.abs(got - want).max() < 1e-7 * np.abs(want).max()
 
 
