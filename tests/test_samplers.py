@@ -6,6 +6,7 @@ from mrpkit.design import ModelSpec, build_layout
 from mrpkit.model import LogDensityModel, PriorConfig
 from mrpkit.samplers import (
     PosteriorDraws,
+    _cholesky_solve,
     damped_newton,
     fd_hessian,
     load_draws,
@@ -105,6 +106,16 @@ def test_newton_damps_a_singular_hessian():
     x = _newton(Flat(), np.array([0.0, 0.7]))
     assert abs(x[0] - 2.0) < 1e-8
     assert x[1] == 0.7
+
+
+@pytest.mark.parametrize("n", [1, 2, 108])
+def test_cholesky_solve_equals_numpy_solve(n):
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((n, n))
+    A = B @ B.T + n * np.eye(n)
+    b = rng.standard_normal(n)
+    x = _cholesky_solve(np.linalg.cholesky(A), b)
+    assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-10, atol=1e-12)
 
 
 def test_laplace_matches_mcmc_on_gaussian_target():
