@@ -57,9 +57,14 @@ CATALOGUE = (
         "initial_point's Newton steps take an M2 location precision without "
         "the intercept-slope correlation term"),
     Bug("beta-prior-grad", "src/mrpkit/model.py",
-        'g[self._beta] += -p["beta"] / cs ** 2',
-        'g[self._beta] += -p["beta"] / cs',
-        "the gradient of the beta prior divides by cs, not cs^2"),
+        "g[self._coefs] += params[self._coefs] / self._neg_cs2",
+        "g[self._coefs] += params[self._coefs] / -self.prior.coef_scale",
+        "the gradient of the beta and gamma prior divides by cs, not cs^2"),
+    Bug("expit-band", "src/mrpkit/model.py",
+        "if np.count_nonzero(nx > _CEXP_EXACT_MAX):",
+        "if False:",
+        "the gradient's expit keeps cexp's rescaled exp where -eta is "
+        "between 709 and the overflow"),
     Bug("hmc-accept-all", "src/mrpkit/samplers.py",
         "if not divergent and rng.uniform() < accept_prob:",
         "if not divergent and rng.uniform() < 1.0:",

@@ -14,10 +14,10 @@ logs and the intercept/slope correlation as its atanh.
 and ``eta_adjoint`` its gradient; ``eta_cells``, ``LogDensityModel`` and
 ``poststrat.predict_cells`` all call them. ``expit`` and ``logit`` map
 between the linear predictor and the probability scale for ``poststrat``
-and ``synthetic`` in numpy alone, so that the reporting commands never
-import scipy. ``expit`` is scipy.special.expit's formula, and equals it up
-to the last digits of ``np.exp``; ``LogDensityModel.grad`` still calls
-scipy's own so that fixed-seed draws keep their bytes.
+and ``synthetic``. ``expit`` is scipy.special.expit's formula, and equals
+it up to the last digits of numpy's fast ``np.exp``, which their draws x
+cells arrays need; ``LogDensityModel.grad`` has its own expit, exact to the
+bit, since the gradient's rounding decides every draw.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ and flat on rho in (-1, 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ from mrpkit.samplers import damped_newton
 
 LOG_2PI = np.log(2.0 * np.pi)
 INITIAL_POINT_ROUNDS = 3  # conditional-MAP / scale-update alternations
+# glibc's cexp(r + 0i) is exp(r) for r up to 709, and exp(709) exp(r - 709)
+# above; exp(r) overflows beyond log(DBL_MAX)
+_CEXP_EXACT_MAX = 709.0
+_LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,27 @@ def _exp_clip(x):
     return np.exp(min(max(x, -300.0), 300.0))
 
 
+def _expit(x):
+    """1 / (1 + exp(-x)) for a 1-d array, bit for bit scipy.special.expit.
+
+    numpy's real exp is its own SIMD code and differs from the C library's
+    exp in the last bit, and the gradient's rounding decides every draw.
+    Its complex exp calls the C library's cexp, which on the real axis is
+    exp itself up to 709; the few elements of -x between 709 and the
+    overflow take math.exp one at a time. Overflow warns; callers silence
+    it, as exp(-x) = inf gives the exact 0."""
+    nx = np.negative(x)
+    z = nx.astype(complex)
+    np.exp(z, out=z)
+    e = z.real
+    if np.count_nonzero(nx > _CEXP_EXACT_MAX):  # not nx.max(): NaN if one is
+        for i in np.flatnonzero((nx > _CEXP_EXACT_MAX)
+                                & (nx <= _LOG_DBL_MAX)):
+            e[i] = math.exp(nx[i])
+    out = 1.0 + e
+    return np.divide(1.0, out, out=out)
+
+
 def _column_pairs(M):
     """For _gram: the products M[i, c] M[j, c] of an L x N matrix's
     entries that share a column (k x k x N, for k nonzeros a column at
@@ -92,11 +118,6 @@ class LogDensityModel:
     def __init__(self, dataset: Dataset, spec: ModelSpec,
                  prior: PriorConfig | None = None,
                  layout: ParameterLayout | None = None):
-        # scipy's expit, not design.expit: the two differ in the last digits
-        # of exp, and the gradient's rounding decides every draw's bytes
-        from scipy.special import expit
-
-        self._expit = expit
         self.spec = spec
         self.prior = prior or PriorConfig()
         self.layout = layout or build_layout(spec, dataset.states)
@@ -128,6 +149,14 @@ class LogDensityModel:
         if self._category_offsets:
             self._cat, self._sc = lay.sl("cat"), lay.sl("sigma_cat").start
             scales.append(self._sc)
+        # grad's constants: -W^T, the prior's squared scales, and one slice
+        # over the adjacent beta and gamma blocks for their common prior
+        self._S = lay.n_states
+        self._neg_Wt = -self.W.T
+        self._uniform = self.prior.mode == "uniform"
+        self._coefs = slice(self._beta.start, self._gamma.stop)
+        self._neg_cs2 = -self.prior.coef_scale ** 2
+        self._ls2 = self.prior.log_scale_sd ** 2
         # the location coordinates: all but the log scales and atanh(rho)
         self._loc = np.delete(np.arange(self.n_params), scales)
 
@@ -232,76 +261,89 @@ class LogDensityModel:
 
     # -- gradient ------------------------------------------------------------
 
-    # the same saturated-tanh warnings as log_posterior are expected noise
+    # the same saturated-tanh warnings as log_posterior are expected noise.
+    # Every floating-point operation is the reference's (tests/test_model.py
+    # _ref_grad), in its order; a scalar block's terms are summed first and
+    # added to g once, which is the same sum since g starts at +0.0
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def grad(self, params) -> np.ndarray:
         params = self._check(params)
-        p = self._unpack(params)
-        S = self.layout.n_states
+        S = self._S
 
         # likelihood
         eta = eta_kernel(params, self._idx)
-        gl = self.k_c - self.n_c * self._expit(eta)      # d loglik / d eta_c
+        gl = self.k_c - self.n_c * _expit(eta)      # d loglik / d eta_c
         g = eta_adjoint(gl, self._idx, np.zeros(self.n_params))
 
         # hierarchy
-        sa = _exp_clip(p["log_sa"])
-        u = p["alpha"] - self.W @ p["gamma"]
+        log_sa = params[self._sa]
+        sa = _exp_clip(log_sa)
+        u = params[self._alpha] - self.W @ params[self._gamma]
         if not self._varying_slope:
-            du = -u / sa ** 2
-            g[self._alpha] += du
-            g[self._gamma] += -self.W.T @ du
-            g[self._sa] += -S + float((u * u).sum()) / sa ** 2
+            sa2 = sa ** 2
+            du = -u / sa2
+            g_sa = -S + float((u * u).sum()) / sa2
         else:
-            ss = _exp_clip(p["log_ss"])
-            rho = np.tanh(p["zrho"])
+            log_ss, zrho = params[self._ss], params[self._corr]
+            ss = _exp_clip(log_ss)
+            rho = np.tanh(zrho)
             c = 1.0 - rho ** 2
             a = u / sa
-            b = (p["slope"] - p["slope_mu"]) / ss
+            b = (params[self._slope] - params[self._mu]) / ss
+            rho_a = rho * a
             du = -(a - rho * b) / (c * sa)
-            dv = -(b - rho * a) / (c * ss)
-            g[self._alpha] += du
-            g[self._gamma] += -self.W.T @ du
+            dv = -(b - rho_a) / (c * ss)
             g[self._slope] += dv
-            g[self._mu] += -dv.sum()
-            g[self._sa] += -S + float((a * a - rho * a * b).sum()) / c
-            g[self._ss] += -S + float((b * b - rho * a * b).sum()) / c
-            quad = a * a - 2.0 * rho * a * b + b * b
+            g_mu = -dv.sum()
+            aa, bb, rho_ab = a * a, b * b, rho_a * b
+            g_sa = -S + float((aa - rho_ab).sum()) / c
+            g_ss = -S + float((bb - rho_ab).sum()) / c
+            quad = aa - 2.0 * rho * a * b + bb
             dldrho = S * rho / c + float((a * b * c - rho * quad).sum()) / c ** 2
-            g[self._corr] += dldrho * c  # chain rule through tanh
+            g_corr = dldrho * c  # chain rule through tanh
+        g[self._alpha] += du
+        g[self._gamma] += self._neg_Wt @ du
         if self._category_offsets:
-            sc = _exp_clip(p["log_sc"])
-            g[self._cat] += -p["cat"] / sc ** 2
-            g[self._sc] += -N_INCOME + float((p["cat"] ** 2).sum()) / sc ** 2
+            log_sc, cat = params[self._sc], params[self._cat]
+            sc2 = _exp_clip(log_sc) ** 2
+            g[self._cat] += -cat / sc2
+            g_sc = -N_INCOME + float((cat ** 2).sum()) / sc2
 
         # prior
-        if self.prior.mode == "uniform":
-            g[self._sa] += 1.0
+        if self._uniform:
+            g_sa += 1.0
             if self._varying_slope:
-                g[self._ss] += 1.0
-                g[self._corr] += -2.0 * np.tanh(p["zrho"])
+                g_ss += 1.0
+                g_corr += -2.0 * rho
             if self._category_offsets:
-                g[self._sc] += 1.0
+                g_sc += 1.0
         else:
-            cs, ls = self.prior.coef_scale, self.prior.log_scale_sd
-            g[self._beta] += -p["beta"] / cs ** 2
-            g[self._gamma] += -p["gamma"] / cs ** 2
-            g[self._sa] += -p["log_sa"] / ls ** 2
+            g[self._coefs] += params[self._coefs] / self._neg_cs2
+            g_sa += -log_sa / self._ls2
             if self._varying_slope:
-                g[self._mu] += -p["slope_mu"] / cs ** 2
-                g[self._ss] += -p["log_ss"] / ls ** 2
-                g[self._corr] += -p["zrho"]
+                g_mu += params[self._mu] / self._neg_cs2
+                g_ss += -log_ss / self._ls2
+                g_corr += -zrho
             if self._category_offsets:
-                g[self._sc] += -p["log_sc"] / ls ** 2
+                g_sc += -log_sc / self._ls2
+
+        g[self._sa] += g_sa
+        if self._varying_slope:
+            g[self._mu] += g_mu
+            g[self._ss] += g_ss
+            g[self._corr] += g_corr
+        if self._category_offsets:
+            g[self._sc] += g_sc
         return g
 
     # -- initialization ------------------------------------------------------
 
+    @np.errstate(over="ignore")  # exp(-eta) = inf gives the exact p = 0
     def _likelihood_precision(self, params) -> np.ndarray:
         """Negative Hessian of the log likelihood over the location
         coordinates at ``params``: eta is linear in them, so it is exactly
         X diag(n p (1 - p)) X^T."""
-        pr = self._expit(eta_kernel(params, self._idx))
+        pr = _expit(eta_kernel(params, self._idx))
         return _gram(self._X_pairs, self.n_c * pr * (1.0 - pr))
 
     def _hierarchy_precision(self, params) -> np.ndarray:

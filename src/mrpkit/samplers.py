@@ -130,9 +130,10 @@ class _DiagMetric:
 
     def __init__(self, inv_mass):
         self.inv_mass = np.asarray(inv_mass, dtype=float)
+        self._sd = np.sqrt(self.inv_mass)  # the positions' sd, computed once
 
     def sample(self, rng):
-        return rng.standard_normal(len(self.inv_mass)) / np.sqrt(self.inv_mass)
+        return rng.standard_normal(len(self.inv_mass)) / self._sd
 
     def velocity(self, p):
         return self.inv_mass * p

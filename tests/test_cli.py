@@ -544,8 +544,8 @@ def _run_python(code):
 
 
 def test_import_loads_no_scipy():
-    # only mrp fit needs scipy; the benchmark's wrappers need every mrpkit
-    # module that the CLI uses to be loaded
+    # the benchmark's wrappers need every mrpkit module that the CLI uses to
+    # be loaded, and loading them loads no scipy
     out = _run_python(
         "import sys, mrpkit, mrpkit.cli, mrpkit.sbc\n" + _PRINT_SCIPY
         + "print(all(m in sys.modules for m in ('mrpkit.model', "
@@ -629,17 +629,27 @@ def test_reporting_commands_load_no_scipy(fitted_run, tmp_path):
     assert (run / "diagnostics.csv").exists()
 
 
-def test_fit_loads_no_scipy_optimize(fitted_run, tmp_path):
-    # initial_point's Newton steps are numpy; a fit loads scipy.special for
-    # the gradient's expit, and nothing of scipy.optimize
+def test_fit_loads_no_scipy(fitted_run, tmp_path):
+    # the gradient's expit and initial_point's Newton steps are numpy, so a
+    # whole fit, poststratify and diagnose round loads no scipy module, and
+    # neither does an SBC replication
     _, _, cfg = _refit_copy(fitted_run, tmp_path)
+    argvs = [["fit", "--config", cfg],
+             ["poststratify", "--config", cfg, "--grouping", "state"],
+             ["diagnose", "--config", cfg]]
     out = _run_python("import sys\nfrom mrpkit.cli import main\n"
-                      f"print(main(['fit', '--config', {cfg!r}]))\n"
+                      f"print([main(a) for a in {argvs!r}])\n"
                       + _PRINT_SCIPY)
-    assert out[-2] in ("0", "3")  # short test chains may be non-converged
-    loaded = ast.literal_eval(out[-1])
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.optimize")]
+    codes = ast.literal_eval(out[-2])
+    assert codes[0] in (0, 3) and codes[1:] == [0, 0]  # 3: short chains
+    assert out[-1] == "[]"
+    out = _run_python(
+        "import sys\nfrom mrpkit.sbc import run_sbc\n"
+        "from mrpkit.synthetic import Scenario\n"
+        "ranks, _ = run_sbc(Scenario(S=5, n=200, seed=1), reps=1, "
+        "warmup=50, iters=40)\n"
+        "print(ranks.shape)\n" + _PRINT_SCIPY)
+    assert out[-2:] == ["(1, 13)", "[]"]
 
 
 def test_diagnose_table(fitted_run):

@@ -379,6 +379,31 @@ def test_grad_and_log_posterior_bit_exact_to_reference(rung, mode, use_eth):
     assert n_nan >= 3  # the NaN points reach the comparison as NaN
 
 
+def test_gradient_expit_bit_exact_to_scipy():
+    # the gradient's expit decides every draw, so it must be scipy's to the
+    # bit; -x in (709, log DBL_MAX] is where the C library's cexp rescales
+    # and the model falls back to math.exp
+    rng = np.random.default_rng(11)
+    top = np.log(np.finfo(float).max)
+    edges = [np.nextafter(v, w) for v in (709.0, top)
+             for w in (-np.inf, np.inf)]
+    band = -np.concatenate([np.linspace(709.0, 709.79, 200_001), edges])
+    mixed = band[rng.permutation(len(band))[:999]]
+    probes = [np.linspace(-800.0, 800.0, 3_000_001), band,
+              np.insert(band, 7, np.nan), np.insert(mixed, 500, np.nan),
+              np.array([np.inf, -np.inf, 0.0, -0.0]), np.array([np.nan])]
+    for n in (1, 25, 1000):
+        x = rng.uniform(-30.0, 30.0, n)
+        probes.append(x)
+        x = x.copy()
+        x[::7] = mixed[:len(x[::7])]  # band elements among ordinary ones
+        probes.append(x)
+    with np.errstate(over="ignore"):
+        for x in probes:
+            assert np.array_equal(mrpkit.model._expit(x), expit(x),
+                                  equal_nan=True), len(x)
+
+
 def _count_calls(monkeypatch, owner, name):
     """Replace owner.name by a wrapper that counts its calls."""
     calls = [0]
