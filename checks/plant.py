@@ -65,6 +65,12 @@ CATALOGUE = (
         "if False:",
         "the gradient's expit keeps cexp's rescaled exp where -eta is "
         "between 709 and the overflow"),
+    Bug("log-prior-no-slope-mu", "src/mrpkit/model.py",
+        "self._coef_idx = np.append(self._coef_idx, self._mu)",
+        "pass",
+        "the weak prior's coefficient index drops slope_mu, so "
+        "log_posterior and the Newton Hessian leave out its prior; grad "
+        "keeps it"),
     Bug("hmc-accept-all", "src/mrpkit/samplers.py",
         "if not divergent and rng.uniform() < accept_prob:",
         "if not divergent and rng.uniform() < 1.0:",
@@ -111,6 +117,11 @@ CATALOGUE = (
         'x[self._sa] = np.log(max(float(np.std(u)), 1e-2)) + 1.0',
         "initial_point's sigma_alpha update is a factor e too large",
         cost_only="redblue-cli ess_per_kgrad (gradient count)"),
+    Bug("label-index-sorted", "src/mrpkit/data.py",
+        "enumerate(self.labels)}",
+        "enumerate(sorted(self.labels))}",
+        "a state label maps to its place in sorted order, not to its row "
+        "in states.csv"),
     Bug("survey-repeats-once", "src/mrpkit/data.py",
         "rows = list(split.values())",
         "rows = [1] * len(split)",

@@ -265,6 +265,13 @@ def load_states(path) -> StateTable:
         bad = int(np.argmax((share <= 0) | (share >= 1)))
         raise DataError(f"{path}: prev_rep_share for state {labels[bad]!r} "
                         f"not strictly inside (0, 1)")
+    # each region after the first is an indicator column of W: a region
+    # without states would be a column of zeros, whose coefficient only its
+    # prior holds
+    missing = np.setdiff1d(np.arange(1, max(region, default=0) + 1), region)
+    if len(missing):
+        raise DataError(f"{path}: no state in region {missing[0]}; region "
+                        f"ids must run 1..R with no gap")
     sd = inc.std(ddof=1) if len(inc) > 1 else 1.0
     if sd > 0:
         inc = (inc - inc.mean()) / sd

@@ -149,14 +149,22 @@ class LogDensityModel:
         if self._category_offsets:
             self._cat, self._sc = lay.sl("cat"), lay.sl("sigma_cat").start
             scales.append(self._sc)
-        # grad's constants: -W^T, the prior's squared scales, and one slice
-        # over the adjacent beta and gamma blocks for their common prior
+        # the density's constants: -W^T; the weak prior's coefficients, as
+        # one slice over the adjacent beta and gamma blocks for grad and as
+        # one index ending in slope_mu (the order whose sum the reference
+        # takes) for log_posterior and the Newton Hessian; the prior's
+        # normalizing constant and its squared and logged scales
         self._S = lay.n_states
         self._neg_Wt = -self.W.T
         self._uniform = self.prior.mode == "uniform"
         self._coefs = slice(self._beta.start, self._gamma.stop)
-        self._neg_cs2 = -self.prior.coef_scale ** 2
-        self._ls2 = self.prior.log_scale_sd ** 2
+        self._coef_idx = np.arange(self._beta.start, self._gamma.stop)
+        if self._varying_slope:
+            self._coef_idx = np.append(self._coef_idx, self._mu)
+        cs, ls = self.prior.coef_scale, self.prior.log_scale_sd
+        self._coef_const = len(self._coef_idx) * (0.5 * LOG_2PI + np.log(cs))
+        self._cs2, self._neg_cs2 = cs ** 2, -cs ** 2
+        self._ls2, self._log_ls = ls ** 2, np.log(ls)
         # the location coordinates: all but the log scales and atanh(rho)
         self._loc = np.delete(np.arange(self.n_params), scales)
 
@@ -171,21 +179,6 @@ class LogDensityModel:
             R = np.hstack([R, Rv, R + Rv])
         self._R_pairs = _column_pairs(R)
 
-    # -- parameter unpacking -------------------------------------------------
-
-    def _unpack(self, params):
-        p = {"beta": params[self._beta], "gamma": params[self._gamma],
-             "alpha": params[self._alpha], "log_sa": params[self._sa]}
-        if self._varying_slope:
-            p["slope"] = params[self._slope]
-            p["slope_mu"] = params[self._mu]
-            p["log_ss"] = params[self._ss]
-            p["zrho"] = params[self._corr]
-        if self._category_offsets:
-            p["cat"] = params[self._cat]
-            p["log_sc"] = params[self._sc]
-        return p
-
     # -- density -------------------------------------------------------------
 
     def _check(self, params) -> np.ndarray:
@@ -197,67 +190,60 @@ class LogDensityModel:
 
     # extreme warmup excursions can saturate tanh(zrho) to +-1; the
     # resulting NaN density and non-finite gradient are caught by divergence
-    # handling, so the intermediate 1/0 warnings are expected noise
+    # handling, so the intermediate 1/0 warnings are expected noise. Every
+    # floating-point operation is the reference's (tests/test_model.py
+    # _ref_log_posterior), in its order
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def log_posterior(self, params) -> float:
         params = self._check(params)
-        p = self._unpack(params)
+        S = self._S
         eta = eta_kernel(params, self._idx)
         ll = float((self.k_c * eta - self.n_c * _softplus(eta)).sum())
-        return ll + self._log_hierarchy(p) + self._log_prior(p)
 
-    def _log_hierarchy(self, p) -> float:
-        S = self.layout.n_states
-        sa = _exp_clip(p["log_sa"])
-        u = p["alpha"] - self.W @ p["gamma"]
+        # hierarchy
+        log_sa = params[self._sa]
+        sa = _exp_clip(log_sa)
+        u = params[self._alpha] - self.W @ params[self._gamma]
         if not self._varying_slope:
-            out = -0.5 * S * LOG_2PI - S * p["log_sa"] \
+            hier = -0.5 * S * LOG_2PI - S * log_sa \
                 - 0.5 * float((u * u).sum()) / sa ** 2
         else:
-            ss = _exp_clip(p["log_ss"])
-            rho = np.tanh(p["zrho"])
+            log_ss, zrho = params[self._ss], params[self._corr]
+            ss = _exp_clip(log_ss)
+            rho = np.tanh(zrho)
             c = 1.0 - rho ** 2
             a = u / sa
-            b = (p["slope"] - p["slope_mu"]) / ss
+            b = (params[self._slope] - params[self._mu]) / ss
             quad = float((a * a - 2.0 * rho * a * b + b * b).sum())
-            out = -S * (LOG_2PI + p["log_sa"] + p["log_ss"] + 0.5 * np.log(c)) \
+            hier = -S * (LOG_2PI + log_sa + log_ss + 0.5 * np.log(c)) \
                 - 0.5 * quad / c
         if self._category_offsets:
-            sc = _exp_clip(p["log_sc"])
-            out += -0.5 * N_INCOME * LOG_2PI - N_INCOME * p["log_sc"] \
-                - 0.5 * float((p["cat"] ** 2).sum()) / sc ** 2
-        return out
+            log_sc = params[self._sc]
+            sc = _exp_clip(log_sc)
+            hier += -0.5 * N_INCOME * LOG_2PI - N_INCOME * log_sc \
+                - 0.5 * float((params[self._cat] ** 2).sum()) / sc ** 2
 
-    def _coef_vector(self, p):
-        parts = [p["beta"], p["gamma"]]
-        if self._varying_slope:
-            parts.append(np.atleast_1d(p["slope_mu"]))
-        return np.concatenate(parts)
-
-    def _log_prior(self, p) -> float:
-        if self.prior.mode == "uniform":
+        # prior
+        if self._uniform:
             # flat on coefficients and on the scales; Jacobian of the log
             # reparameterization, plus flat-on-rho Jacobian for atanh(rho)
-            out = p["log_sa"]
+            prior = log_sa
             if self._varying_slope:
-                rho = np.tanh(p["zrho"])
-                out += p["log_ss"] + np.log1p(-rho ** 2)
+                prior += log_ss + np.log1p(-rho ** 2)
             if self._category_offsets:
-                out += p["log_sc"]
-            return float(out)
-        cs, ls = self.prior.coef_scale, self.prior.log_scale_sd
-        coefs = self._coef_vector(p)
-        out = -0.5 * float((coefs ** 2).sum()) / cs ** 2 \
-            - len(coefs) * (0.5 * LOG_2PI + np.log(cs))
-        logs = [p["log_sa"]]
+                prior += log_sc
+            return ll + hier + float(prior)
+        coefs = params[self._coef_idx]
+        prior = -0.5 * float((coefs ** 2).sum()) / self._cs2 - self._coef_const
+        logs = [log_sa]
         if self._varying_slope:
-            logs.append(p["log_ss"])
-            out += -0.5 * p["zrho"] ** 2 - 0.5 * LOG_2PI
+            logs.append(log_ss)
+            prior += -0.5 * zrho ** 2 - 0.5 * LOG_2PI
         if self._category_offsets:
-            logs.append(p["log_sc"])
+            logs.append(log_sc)
         for v in logs:
-            out += -0.5 * v ** 2 / ls ** 2 - 0.5 * LOG_2PI - np.log(ls)
-        return float(out)
+            prior += -0.5 * v ** 2 / self._ls2 - 0.5 * LOG_2PI - self._log_ls
+        return ll + hier + float(prior)
 
     # -- gradient ------------------------------------------------------------
 
@@ -351,16 +337,15 @@ class LogDensityModel:
         coordinates: with the scales of ``params`` held they are Gaussian in
         them, so it depends on the scales alone. Added to
         _likelihood_precision it is the exact location Hessian."""
-        p = self._unpack(params)
-        S = self.layout.n_states
-        sa = _exp_clip(p["log_sa"])
+        S = self._S
+        sa = _exp_clip(params[self._sa])
         if not self._varying_slope:
             w = np.full(S, sa ** -2)
         else:
             # u and v through their 2x2 inverse covariance; R_pairs stacks
             # [R, Rv, R + Rv], and R Rv^T + Rv R^T = (R + Rv)(R + Rv)^T
             # - R R^T - Rv Rv^T
-            ss, rho = _exp_clip(p["log_ss"]), np.tanh(p["zrho"])
+            ss, rho = _exp_clip(params[self._ss]), np.tanh(params[self._corr])
             off = -rho / (sa * ss)
             w = np.repeat([sa ** -2 - off, ss ** -2 - off, off], S) \
                 / (1.0 - rho ** 2)
@@ -368,11 +353,9 @@ class LogDensityModel:
 
         d = np.zeros(self.n_params)  # the offsets' and the prior's precision
         if self._category_offsets:
-            d[self._cat] = _exp_clip(p["log_sc"]) ** -2
-        if self.prior.mode == "weak":
-            d[self._beta] = d[self._gamma] = self.prior.coef_scale ** -2
-            if self._varying_slope:
-                d[self._mu] = self.prior.coef_scale ** -2
+            d[self._cat] = _exp_clip(params[self._sc]) ** -2
+        if not self._uniform:
+            d[self._coef_idx] = self.prior.coef_scale ** -2
         A[np.diag_indices_from(A)] += d[self._loc]
         return A
 
@@ -405,17 +388,16 @@ class LogDensityModel:
         x = np.zeros(self.n_params)
         for _ in range(INITIAL_POINT_ROUNDS):
             x = self._conditional_mode(x)
-            p = self._unpack(x)
-            u = p["alpha"] - self.W @ p["gamma"]
+            u = x[self._alpha] - self.W @ x[self._gamma]
             x[self._sa] = np.log(max(float(np.std(u)), 1e-2))
             if self._varying_slope:
-                v = p["slope"] - p["slope_mu"]
+                v = x[self._slope] - x[self._mu]
                 x[self._ss] = np.log(max(float(np.std(v)), 1e-2))
                 if np.std(u) > 0 and np.std(v) > 0:
                     r = float(np.corrcoef(u, v)[0, 1])
                     r = np.clip(r if np.isfinite(r) else 0.0, -0.95, 0.95)
                     x[self._corr] = np.arctanh(r)
             if self._category_offsets:
-                x[self._sc] = np.log(max(float(np.std(p["cat"])), 1e-2))
+                x[self._sc] = np.log(max(float(np.std(x[self._cat])), 1e-2))
         return x
 

@@ -397,6 +397,24 @@ def test_fit_short_row_names_file_and_row(tmp_path, capsys, name, row, line):
     assert not outdir.exists()
 
 
+def test_fit_refuses_a_region_without_states(tmp_path, capsys):
+    # regions 1, 2, 4: region 3's indicator column in W would be all zeros,
+    # its coefficient held by the prior alone (or by nothing, under the
+    # uniform prior), and the fit blamed on convergence
+    simcfg, datadir = _sim_config(tmp_path)
+    assert main(["simulate", "--config", simcfg]) == 0
+    path = datadir / "states.csv"
+    lines = path.read_text().splitlines()
+    assert lines[3].startswith("S03,") and lines[3].endswith(",3")
+    lines[3] = lines[3][:-1] + "1"
+    path.write_text("\n".join(lines) + "\n")
+    outdir = tmp_path / "run"
+    assert main(["fit", "--config", _fit_config(tmp_path, datadir,
+                                                outdir)]) == 2
+    assert "states.csv: no state in region 3" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def _refit_copy(fitted_run, tmp_path):
     """Copies of the fitted run's inputs and fit artifacts, and a config
     that points at them."""

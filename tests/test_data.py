@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from mrpkit.data import (
     cell_cross,
     cell_position,
     load_cells,
+    load_dataset,
     load_recorded,
     load_states,
     load_survey,
@@ -22,6 +24,8 @@ from mrpkit.data import (
     write_survey,
 )
 from mrpkit.design import ModelSpec
+from mrpkit.model import LogDensityModel
+from mrpkit.samplers import sample_mcmc
 from mrpkit.synthetic import (Scenario, draw_truth, make_cells, make_states,
                               simulate_poll, write_scenario_files)
 
@@ -574,6 +578,25 @@ def test_round_trip_states(tmp_path):
     assert np.allclose(back.avg_income, st.avg_income)
     assert np.allclose(back.prev_rep_share, st.prev_rep_share)
     assert np.array_equal(back.region_id, st.region_id)
+
+
+def test_relabelled_states_give_identical_draws(tmp_path):
+    # metamorphic: a state label is a name and its row in states.csv its
+    # index, so renaming the states consistently in all three files, here
+    # S01..S06 -> X6..X1 (the reverse sort order), leaves every draw as it was
+    sc = Scenario(S=6, rung="M2", n=600, seed=2)
+    paths = write_scenario_files(sc, tmp_path / "world")
+    renamed = {}
+    for name in ("survey", "cells", "states"):
+        text = open(paths[name], encoding="utf-8").read()
+        renamed[name] = _write(tmp_path / f"{name}.csv", re.sub(
+            r"^S0(\d),", lambda m: f"X{7 - int(m[1])},", text, flags=re.M))
+    datasets = [load_dataset(p["survey"], p["cells"], p["states"], sc.spec)
+                for p in (paths, renamed)]
+    assert datasets[1].states.labels == [f"X{i}" for i in range(6, 0, -1)]
+    a, b = (sample_mcmc(LogDensityModel(ds, sc.spec), chains=2, warmup=60,
+                        iters=40, seed=3).draws for ds in datasets)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_round_trip_survey_and_cells(tmp_path):

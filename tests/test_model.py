@@ -46,9 +46,13 @@ def test_log_posterior_length_mismatch():
         model.grad(np.zeros(model.n_params - 1))
 
 
-def test_log_posterior_matches_naive_oracle_m1():
-    # independent recomputation: per-respondent Bernoulli terms plus normal
-    # densities from scipy.stats, no shared code with the model
+@pytest.mark.parametrize("rung", ["M1", "M2", "M3"])
+@pytest.mark.parametrize("mode", ["weak", "uniform"])
+def test_log_posterior_matches_naive_oracle(rung, mode):
+    # independent recomputation: per-respondent Bernoulli terms plus
+    # densities from scipy.stats (each state's intercept and slope jointly
+    # under M2 and M3) and the uniform prior's Jacobians, no shared code
+    # with the model
     S, n = 4, 200
     states = make_state_table(S, seed=2)
     cells = make_cell_table(S, seed=2)
@@ -56,11 +60,14 @@ def test_log_posterior_matches_naive_oracle_m1():
     sid, inc, vote = (r.integers(1, S + 1, n), r.integers(1, 6, n),
                       r.integers(0, 2, n))
     sv = survey_from_rows(cells, sid, inc, np.zeros(n, dtype=int), vote)
-    spec = ModelSpec("M1")
+    spec = ModelSpec(rung)
     model = LogDensityModel(Dataset(sv, cells, states), spec,
-                            PriorConfig("weak", 5.0))
+                            PriorConfig(mode, 5.0))
     lay = model.layout
     W = predictor_matrix(states, spec)
+
+    def scalar(name):
+        return params[lay.sl(name)][0]
 
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -68,18 +75,45 @@ def test_log_posterior_matches_naive_oracle_m1():
         beta = params[lay.sl("beta")]
         gamma = params[lay.sl("gamma")]
         alpha = params[lay.sl("alpha")]
-        log_sa = params[lay.sl("sigma_alpha")][0]
+        log_sa = scalar("sigma_alpha")
         sa = np.exp(log_sa)
+        slope = params[lay.sl("slope")] if rung != "M1" else np.zeros(S)
+        cat = params[lay.sl("cat")] if rung == "M3" else np.zeros(5)
 
         # likelihood, one respondent at a time
         ll = 0.0
         for s, i, v in zip(sid, inc, vote):
-            eta = alpha[s - 1] + beta[0] * (i - 3)
+            eta = alpha[s - 1] + (beta[0] + slope[s - 1]) * (i - 3) \
+                + cat[i - 1]
             p = expit(eta)
             ll += np.log(p) if v else np.log1p(-p)
-        hier = stats.norm.logpdf(alpha, W @ gamma, sa).sum()
-        prior = stats.norm.logpdf(np.concatenate([beta, gamma]), 0, 5.0).sum()
-        prior += stats.norm.logpdf(log_sa, 0, 1.0)
+        coefs, log_scales = [*beta, *gamma], [log_sa]
+        if rung == "M1":
+            hier = stats.norm.logpdf(alpha, W @ gamma, sa).sum()
+        else:
+            mu, ss, rho = (scalar("slope_mu"), np.exp(scalar("slope_sigma")),
+                           np.tanh(scalar("corr")))
+            cov = [[sa ** 2, rho * sa * ss], [rho * sa * ss, ss ** 2]]
+            hier = sum(stats.multivariate_normal.logpdf(
+                [alpha[s], slope[s]], [W[s] @ gamma, mu], cov)
+                for s in range(S))
+            coefs.append(mu)
+            log_scales.append(np.log(ss))
+        if rung == "M3":
+            sc = np.exp(scalar("sigma_cat"))
+            hier += stats.norm.logpdf(cat, 0.0, sc).sum()
+            log_scales.append(np.log(sc))
+        if mode == "weak":
+            prior = stats.norm.logpdf(coefs, 0, 5.0).sum()
+            prior += stats.norm.logpdf(log_scales, 0, 1.0).sum()
+            if rung != "M1":
+                prior += stats.norm.logpdf(scalar("corr"), 0, 1.0)
+        else:
+            # flat on each scale and on rho: d sigma / d log sigma = sigma,
+            # d rho / d atanh(rho) = 1 - rho^2
+            prior = sum(log_scales)
+            if rung != "M1":
+                prior += np.log(1.0 - rho ** 2)
         want = ll + hier + prior
         assert abs(model.log_posterior(params) - want) < 1e-8 * max(1, abs(want))
 
@@ -207,9 +241,12 @@ def test_prior_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# bit-exact reference: grad and log_posterior as they were before the slices,
-# rung flags and length were read once at build (layout lookups per call,
-# np.clip in the clipped exp, np.sum reductions)
+# bit-exact reference: grad and log_posterior as they were before both read
+# their blocks by the slices and offsets stored at build and took the rung
+# flags, the length and the prior's constants from the model (here: layout
+# lookups into a dict per call, np.clip in the clipped exp, np.sum
+# reductions, the weak prior's coefficients concatenated and its constants
+# computed on each call)
 
 def _ref_exp_clip(x):
     return np.exp(np.clip(x, -300.0, 300.0))
