@@ -75,6 +75,11 @@ CATALOGUE = (
         "if not divergent and rng.uniform() < accept_prob:",
         "if not divergent and rng.uniform() < 1.0:",
         "HMC accepts every proposal that does not diverge"),
+    Bug("energy-nan-accepted", "src/mrpkit/samplers.py",
+        "if not np.isfinite(energy_err) or energy_err > DIVERGENCE_ENERGY:",
+        "if energy_err > DIVERGENCE_ENERGY:",
+        "a trajectory whose energy error is NaN counts as accepted with "
+        "probability 1, so the step-size search doubles past it"),
     Bug("region-shift", "src/mrpkit/poststrat.py",
         "cols.append(states.region_id[cells.state_id - 1])",
         "cols.append(states.region_id[cells.state_id - 2])",

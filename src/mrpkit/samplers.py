@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mrpkit.diagnostics import compute_diagnostics
+
 FD_STEP = 1e-5  # relative finite-difference step of fd_hessian
 NEWTON_TOL = 1e-8  # damped_newton stops where every |gradient| is smaller
 DIVERGENCE_ENERGY = 1000.0
@@ -170,29 +172,35 @@ class _DenseMetric:
         return 0.5 * float(p @ self.velocity(p))
 
 
-def _leapfrog(q, p, grad, eps, metric, n_steps, grad_fn):
+def _transition(model, q, logp, grad, p, eps, n_steps, metric):
+    """(q1, logp1, grad1, accept_prob, divergent) at the end of ``n_steps``
+    leapfrog steps from ``q`` (log density ``logp``, gradient ``grad``) with
+    momentum ``p``. Divergent, with acceptance 0, if a gradient or the energy
+    error is non-finite or the error is above DIVERGENCE_ENERGY."""
+    h0 = -logp + metric.kinetic(p)
     p = p + 0.5 * eps * grad
     for step in range(n_steps):
         q = q + eps * metric.velocity(p)
-        grad = grad_fn(q)
+        grad = model.grad(q)
         if not np.isfinite(grad).all():
-            return q, p, grad, False
+            return q, -np.inf, grad, 0.0, True
         if step < n_steps - 1:
             p = p + eps * grad
     p = p + 0.5 * eps * grad
-    return q, p, grad, True
+    logp = model.log_posterior(q)
+    energy_err = -logp + metric.kinetic(p) - h0
+    if not np.isfinite(energy_err) or energy_err > DIVERGENCE_ENERGY:
+        return q, logp, grad, 0.0, True
+    return q, logp, grad, float(np.exp(min(0.0, -energy_err))), False
 
 
 def _find_reasonable_eps(model, q, logp, grad, metric, rng):
     """Step size, doubled or halved from 1, at which a one-step trial from
     ``q`` (log density ``logp``, gradient ``grad``) crosses acceptance 1/2."""
     p = metric.sample(rng)
-    h0 = -logp + metric.kinetic(p)
 
     def accepts(eps):
-        q1, p1, _, ok = _leapfrog(q, p, grad, eps, metric, 1, model.grad)
-        h1 = -model.log_posterior(q1) + metric.kinetic(p1) if ok else np.inf
-        return np.exp(min(0.0, h0 - h1)) > 0.5
+        return _transition(model, q, logp, grad, p, eps, 1, metric)[3] > 0.5
 
     eps = 1.0
     up = accepts(eps)
@@ -228,51 +236,40 @@ class _DualAveraging:
         return np.exp(self.log_eps_bar)
 
 
-def _run_chain(model, warmup, iters, rng, q0, metric, adapt_mass,
+def _run_chain(model, warmup, iters, rng, q0, metric, window,
                target_accept, traj_length):
-    logp_fn = model.log_posterior
-    grad_fn = model.grad
     q = np.asarray(q0, dtype=float).copy()
-    logp = logp_fn(q)
-    grad = grad_fn(q)
+    logp = model.log_posterior(q)
+    grad = model.grad(q)
 
     eps = _find_reasonable_eps(model, q, logp, grad, metric, rng)
     da = _DualAveraging(eps, delta=target_accept)
 
-    # simplified windowed mass adaptation: settle, collect, switch
-    w1 = int(0.15 * warmup)
-    w2 = int(0.75 * warmup) if adapt_mass else warmup
-    window = []
+    # simplified windowed mass adaptation: settle, collect, switch; with no
+    # window nothing is collected and the metric stays
+    w1, w2 = (int(f * warmup) for f in window or (1, 1))
+    kept = []
 
     draws = np.empty((iters, len(q)))
     n_divergent = 0
     accept_sum = 0.0
 
     for it in range(warmup + iters):
-        warming = it < warmup
         p0 = metric.sample(rng)
-        h0 = -logp + metric.kinetic(p0)
         jitter = rng.uniform(0.8, 1.2)
         n_steps = min(max(round(jitter * traj_length / eps), 1),
                       MAX_LEAPFROG_STEPS)
-        q1, p1, grad1, ok = _leapfrog(q, p0, grad, eps, metric, n_steps, grad_fn)
-        if ok:
-            logp1 = logp_fn(q1)
-            h1 = -logp1 + metric.kinetic(p1)
-            energy_err = h1 - h0
-        else:
-            energy_err = np.inf
-        divergent = not np.isfinite(energy_err) or energy_err > DIVERGENCE_ENERGY
-        accept_prob = 0.0 if divergent else float(np.exp(min(0.0, -energy_err)))
+        q1, logp1, grad1, accept_prob, divergent = _transition(
+            model, q, logp, grad, p0, eps, n_steps, metric)
         if not divergent and rng.uniform() < accept_prob:
             q, logp, grad = q1, logp1, grad1
 
-        if warming:
+        if it < warmup:
             eps = da.update(accept_prob)
-            if adapt_mass and w1 <= it < w2:
-                window.append(q.copy())
-            if adapt_mass and it == w2 - 1 and len(window) > 10:
-                var = np.var(np.asarray(window), axis=0)
+            if w1 <= it < w2:
+                kept.append(q.copy())
+            if it == w2 - 1 and len(kept) > 10:
+                var = np.var(np.asarray(kept), axis=0)
                 metric = _DiagMetric(np.clip(var, 1e-8, None))
                 eps = _find_reasonable_eps(model, q, logp, grad, metric, rng)
                 da = _DualAveraging(eps, delta=target_accept)
@@ -281,8 +278,7 @@ def _run_chain(model, warmup, iters, rng, q0, metric, adapt_mass,
         else:
             draws[it - warmup] = q
             accept_sum += accept_prob
-            if divergent:
-                n_divergent += 1
+            n_divergent += divergent
 
     return draws, n_divergent, accept_sum / max(iters, 1), eps
 
@@ -302,37 +298,37 @@ def sample_mcmc(model, chains=4, warmup=1000, iters=1000, seed=0,
     if not (isinstance(init, str) and init in ("map", "diffuse")):
         raise ValueError(f"unknown init {init!r}")
     P = model.n_params
-    adapt_mass = init == "diffuse"  # "map" keeps its dense metric fixed
-    metric = _DiagMetric(np.ones(P))
-    centers = None
     if init == "map":
         if not hasattr(model, "initial_point"):
             raise ValueError('init="map" needs a model with initial_point(); '
                              'use init="diffuse"')
-        centers = model.initial_point()
-        # full curvature at the center sets a dense metric; this is what
-        # handles weakly identified coefficient-sum directions
-        metric = _DenseMetric(-fd_hessian(model.grad, centers))
+        center = model.initial_point()
+        # full curvature at the center sets a dense metric, which warmup
+        # keeps; this is what handles weakly identified coefficient sums
+        metric = _DenseMetric(-fd_hessian(model.grad, center))
+        spread, window = INIT_JITTER, None
+    else:
+        center, spread, window = np.zeros(P), 2.0, (0.15, 0.75)
+        metric = _DiagMetric(np.ones(P))
 
     all_draws, total_div = [], 0
     accept_rates, step_sizes = [], []
-    for c in range(chains):
-        rng = np.random.default_rng([seed, c])
-        if centers is None:
-            q0 = 2.0 * rng.standard_normal(P)
-        else:
-            q0 = centers + INIT_JITTER * rng.standard_normal(P)
-        draws, n_div, acc, eps = _run_chain(
-            model, warmup, iters, rng, q0, metric, adapt_mass,
-            target_accept, traj_length)
-        all_draws.append(draws)
-        total_div += n_div
-        accept_rates.append(acc)
-        step_sizes.append(eps)
+    # a trajectory that flies off overflows the kinetic energy; it is
+    # counted as divergent, so the warning would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(chains):
+            rng = np.random.default_rng([seed, c])
+            q0 = center + spread * rng.standard_normal(P)
+            draws, n_div, acc, eps = _run_chain(
+                model, warmup, iters, rng, q0, metric, window,
+                target_accept, traj_length)
+            all_draws.append(draws)
+            total_div += n_div
+            accept_rates.append(acc)
+            step_sizes.append(eps)
 
     out = PosteriorDraws(np.concatenate(all_draws), chains,
                          layout=getattr(model, "layout", None))
-    from mrpkit.diagnostics import compute_diagnostics
     div_frac = total_div / max(chains * iters, 1)
     diag = {"divergent": total_div, "divergence_fraction": div_frac,
             "accept_rate": accept_rates, "step_size": step_sizes,

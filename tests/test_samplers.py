@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import logit
@@ -7,6 +9,8 @@ from mrpkit.model import LogDensityModel, PriorConfig
 from mrpkit.samplers import (
     PosteriorDraws,
     _cholesky_solve,
+    _DiagMetric,
+    _find_reasonable_eps,
     damped_newton,
     fd_hessian,
     load_draws,
@@ -65,21 +69,21 @@ def _newton(model, x0):
 # ---------------------------------------------------------------------------
 # damped_newton
 
-def test_map_complete_pooling_closed_form():
+def test_newton_complete_pooling_closed_form():
     # 75 of 100 voting 1 under a flat prior: mode at logit(0.75)
     x = _newton(_BernoulliStub(75, 100), np.zeros(1))
     assert abs(x[0] - logit(0.75)) < 1e-6
     assert abs(x[0] - 1.0986) < 1e-3
 
 
-def test_map_prior_mode_is_zero():
+def test_newton_prior_mode_is_zero():
     # no data, standard-normal prior: mode at the origin
     x = _newton(_GaussianStub(np.zeros(3), np.eye(3)), np.ones(3))
     assert np.max(np.abs(x)) < 1e-8
 
 
 @pytest.mark.parametrize("start", ["zeros", "initial_point"])
-def test_map_beats_truth_on_synthetic(start):
+def test_newton_beats_truth_on_synthetic(start):
     # zeros is a far start for the hierarchy, initial_point a near one
     sc = Scenario(S=10, rung="M1", n=2000, seed=4)
     states = make_states(sc)
@@ -118,7 +122,7 @@ def test_cholesky_solve_equals_numpy_solve(n):
     assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-10, atol=1e-12)
 
 
-def test_laplace_matches_mcmc_on_gaussian_target():
+def test_mcmc_matches_gaussian_target_moments():
     # exactly Gaussian posterior: its Laplace approximation N(mu, P^-1) is
     # exact, so the draws must match its closed-form mean and sd within
     # Monte Carlo error
@@ -180,6 +184,53 @@ def test_mcmc_evaluates_each_point_once():
                 init="diffuse")
     for name, calls in seen.items():
         assert len(calls) == len(set(calls)), name
+
+
+class _NanBeyondOneStub:
+    """Standard normal inside |x| <= 1, NaN log density beyond; the
+    gradient stays finite, so only the energy shows the NaN."""
+
+    n_params = 1
+
+    def log_posterior(self, x):
+        return -0.5 * float(x @ x) if abs(x[0]) <= 1.0 else np.nan
+
+    def grad(self, x):
+        return -x
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_step_size_search_rejects_nan_energy(seed):
+    # a trial that lands where the log density is NaN is rejected, so the
+    # search stops near the step that leaves |x| <= 1; counted as accepted,
+    # it doubled to 2**50
+    model = _NanBeyondOneStub()
+    q = np.zeros(1)
+    eps = _find_reasonable_eps(model, q, model.log_posterior(q),
+                               model.grad(q), _DiagMetric(np.ones(1)),
+                               np.random.default_rng(seed))
+    assert 1e-3 < eps < 100.0
+
+
+def test_mcmc_keeps_expected_overflow_quiet():
+    # so steep a target that the kinetic energy overflows: the trajectories
+    # are counted divergent, and no RuntimeWarning reaches the caller
+    class Steep:
+        n_params = 2
+
+        def log_posterior(self, x):
+            with np.errstate(over="ignore"):
+                return -0.5e150 * float(x @ x)
+
+        def grad(self, x):
+            with np.errstate(over="ignore"):
+                return -1e150 * x
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample_mcmc(Steep(), chains=1, warmup=20, iters=20, seed=0,
+                            init="diffuse")
+    assert draws.diagnostics["divergent"] > 0
 
 
 def test_mcmc_map_init_needs_initial_point():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import mrpkit.sbc
 from mrpkit.design import build_layout, predictor_matrix
 from mrpkit.model import PriorConfig
 from mrpkit.sbc import (
@@ -100,6 +101,24 @@ def test_run_sbc_smoke():
     assert ranks.shape == (10, layout.n_params)
     assert ranks.min() >= 0
     assert ranks.max() <= 19
+
+
+def test_run_sbc_calls_sample_mcmc_by_keyword(monkeypatch):
+    # a benchmark wraps the module attribute as sample_mcmc(model, **kwargs)
+    # to count each replication's gradients
+    calls = []
+    inner = mrpkit.sbc.sample_mcmc
+
+    def sample_mcmc(model, **kwargs):
+        calls.append(kwargs)
+        return inner(model, **kwargs)
+
+    monkeypatch.setattr(mrpkit.sbc, "sample_mcmc", sample_mcmc)
+    sc = Scenario(S=4, rung="M1", n=200, seed=3,
+                  state_predictors=("avg_income",))
+    ranks, _ = run_sbc(sc, reps=1, warmup=20, iters=19, seed=5)
+    assert len(calls) == 1 and ranks.shape[0] == 1
+    assert calls[0]["chains"] == 1 and calls[0]["init"] == "diffuse"
 
 
 def test_run_sbc_logs_progress(caplog):
