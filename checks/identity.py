@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import itertools
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -41,11 +42,14 @@ def _run_config(data, eth, **sampler):
 
 def write_corpus(out) -> None:
     """The corpus, under ``out``: a redblue-cli round at the CLI defaults,
-    the report-300k world fitted 4 x (200 + 1000), ``run_sbc`` ranks on
-    criterion 4's world (seed 1000, 10 replications), and 2 x (150 + 150)
-    fits for M1/M2/M3 x weak/uniform x init map/diffuse, with and without
-    ethnicity. Every path in a config is relative."""
+    and its ``poststratify --recorded`` by state, by region and national
+    (with the national draws) against fixed shares that the corpus
+    writes; the report-300k world fitted 4 x (200 + 1000); ``run_sbc``
+    ranks on criterion 4's world (seed 1000, 10 replications); and
+    2 x (150 + 150) fits for M1/M2/M3 x weak/uniform x init map/diffuse,
+    with and without ethnicity. Every path in a config is relative."""
     from mrpkit import cli
+    from mrpkit.data import load_states
     from mrpkit.model import LogDensityModel, PriorConfig
     from mrpkit.samplers import sample_mcmc, save_draws, write_json
     from mrpkit.sbc import run_sbc
@@ -64,6 +68,24 @@ def write_corpus(out) -> None:
                   "--grouping", "income"],
                  ["diagnose", "--config", "redblue.ini"]):
         cli.main(argv)  # a failed command leaves its files out
+
+    # calibrated estimates beside a copy of the fit, so the uncalibrated
+    # estimates_state.csv above stays
+    os.makedirs("redblue/recorded", exist_ok=True)
+    for name in ("draws.bin", "draws.json", "manifest.json"):
+        shutil.copy(f"redblue/run/{name}", "redblue/recorded")
+    labels = load_states("redblue/states.csv").labels
+    with open("recorded.csv", "w", encoding="utf-8") as f:
+        f.write("state,rep_share\n")
+        f.writelines(f"{lbl},{0.3 + 0.4 * i / len(labels):.4f}\n"
+                     for i, lbl in enumerate(labels))
+    cfg = _run_config("redblue", "false")
+    cfg["output"]["dir"] = "redblue/recorded"
+    _ini("recorded.ini", cfg)
+    for grouping in ("state", "region", ""):
+        cli.main(["poststratify", "--config", "recorded.ini", "--grouping",
+                  grouping, "--recorded", "recorded.csv"]
+                 + (["--export-draws"] if not grouping else []))
 
     write_scenario_files(Scenario(
         S=50, rung="M2", n=300_000, seed=0, use_ethnicity=True,

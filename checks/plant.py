@@ -112,6 +112,26 @@ CATALOGUE = (
         "hi = np.where(f > 0, np.minimum(hi, delta), hi)",
         "hi = np.where(f > 0, np.maximum(hi, delta), hi)",
         "calibration widens the bracket's upper end instead of closing it"),
+    Bug("calibrate-zero-weight", "src/mrpkit/poststrat.py",
+        "if not w.sum() > 0:",
+        "if False:",
+        "calibrate_to_totals takes a state with zero total voter weight, "
+        "whose weights are 0/0, and writes NaN estimates"),
+    Bug("draws-header-dtype", "src/mrpkit/samplers.py",
+        'if (dtype, order) != ("float64_le", "C"):',
+        "if False:",
+        "load_draws reads draws.bin as little-endian float64 in C order "
+        "whatever dtype and order its header names"),
+    Bug("sbc-few-iters", "src/mrpkit/sbc.py",
+        "if iters < n_rank_draws:",
+        "if False:",
+        "run_sbc ranks against fewer than n_rank_draws draws when iters "
+        "is smaller, so the ranks stop short"),
+    Bug("sbc-ranks-range", "src/mrpkit/sbc.py",
+        "if np.any((ranks < 0) | (ranks > n_rank_draws)):",
+        "if False:",
+        "uniformity_pvalues bins ranks outside 0..n_rank_draws without a "
+        "word"),
     Bug("diffuse-metric-inverse", "src/mrpkit/samplers.py",
         "metric = _DiagMetric(np.clip(var, 1e-8, None))",
         "metric = _DiagMetric(1.0 / np.clip(var, 1e-8, None))",

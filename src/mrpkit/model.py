@@ -325,18 +325,11 @@ class LogDensityModel:
     # -- initialization ------------------------------------------------------
 
     @np.errstate(over="ignore")  # exp(-eta) = inf gives the exact p = 0
-    def _likelihood_precision(self, params) -> np.ndarray:
-        """Negative Hessian of the log likelihood over the location
-        coordinates at ``params``: eta is linear in them, so it is exactly
-        X diag(n p (1 - p)) X^T."""
-        pr = _expit(eta_kernel(params, self._idx))
-        return _gram(self._X_pairs, self.n_c * pr * (1.0 - pr))
-
-    def _hierarchy_precision(self, params) -> np.ndarray:
-        """Negative Hessian of the hierarchy and the prior over the location
-        coordinates: with the scales of ``params`` held they are Gaussian in
-        them, so it depends on the scales alone. Added to
-        _likelihood_precision it is the exact location Hessian."""
+    def _location_precision(self, params) -> np.ndarray:
+        """Negative Hessian of the log posterior over the location
+        coordinates at ``params``, exactly: X diag(n p (1 - p)) X^T, as eta
+        is linear in them, plus that of the hierarchy and the prior, which
+        with the scales held are Gaussian in them."""
         S = self._S
         sa = _exp_clip(params[self._sa])
         if not self._varying_slope:
@@ -357,7 +350,8 @@ class LogDensityModel:
         if not self._uniform:
             d[self._coef_idx] = self.prior.coef_scale ** -2
         A[np.diag_indices_from(A)] += d[self._loc]
-        return A
+        pr = _expit(eta_kernel(params, self._idx))
+        return _gram(self._X_pairs, self.n_c * pr * (1.0 - pr)) + A
 
     def _conditional_mode(self, params) -> np.ndarray:
         """``params`` with the location coordinates moved to their mode
@@ -368,11 +362,9 @@ class LogDensityModel:
             y[self._loc] = xl
             return y
 
-        held = self._hierarchy_precision(params)
         xl = damped_newton(lambda xl: self.log_posterior(at(xl)),
                            lambda xl: self.grad(at(xl))[self._loc],
-                           lambda xl: self._likelihood_precision(at(xl))
-                           + held,
+                           lambda xl: self._location_precision(at(xl)),
                            np.asarray(params, dtype=float)[self._loc])
         return at(xl)
 

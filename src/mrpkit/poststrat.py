@@ -133,7 +133,8 @@ def calibrate_to_totals(cell_estimates: CellEstimates, recorded):
     matches its recorded two-party Republican share, separately per draw.
 
     ``recorded`` is an array of shares indexed by state (as ``load_recorded``
-    returns), each strictly inside (0, 1). Returns (calibrated
+    returns), each strictly inside (0, 1); a state with zero total voter
+    weight has no share to match and is refused. Returns (calibrated
     CellEstimates, deltas of shape (D, S)).
     """
     cells = cell_estimates.cells
@@ -153,6 +154,8 @@ def calibrate_to_totals(cell_estimates: CellEstimates, recorded):
     for s in range(1, S + 1):
         mask = cells.state_id == s
         w = cells.n_voters[mask]
+        if not w.sum() > 0:
+            raise ValueError(f"state {s} has zero total voter weight")
         w = w / w.sum()
         sub = eta[:, mask]  # (D, C_s)
         target = rec[s - 1]

@@ -145,7 +145,7 @@ class _DiagMetric:
 
 
 class _DenseMetric:
-    """Dense kinetic energy from a curvature (precision-like) matrix.
+    """Dense kinetic energy from a symmetric curvature (precision) matrix.
 
     Eigenvalues are clipped positive so an indefinite Hessian still yields a
     usable metric; soft ridge directions get large position steps, which is
@@ -153,8 +153,7 @@ class _DenseMetric:
     """
 
     def __init__(self, precision):
-        A = 0.5 * (np.asarray(precision) + np.asarray(precision).T)
-        w, U = np.linalg.eigh(A)
+        w, U = np.linalg.eigh(precision)
         # indefinite or near-null directions: use magnitude, cap the implied
         # position variance so soft directions stay explorable but bounded
         wc = np.clip(np.abs(w), 1.0 / MAX_METRIC_VARIANCE, None)
@@ -377,13 +376,13 @@ def save_draws(draws: PosteriorDraws, bin_path, json_path) -> None:
 
 def load_draws(bin_path, json_path, layout=None) -> PosteriorDraws:
     """Draws that ``save_draws`` wrote; ValueError naming the file that
-    cannot be read, whose header is not one, or whose size or blocks do not
-    match."""
+    cannot be read, whose header is not one or names another dtype or
+    order, or whose size or blocks do not match."""
     try:
         with open(json_path, encoding="utf-8") as f:
             header = json.load(f)
-        D, P, C, blocks = (header[k] for k in
-                           ("n_draws", "n_params", "n_chains", "blocks"))
+        D, P, C, blocks, dtype, order = (header[k] for k in (
+            "n_draws", "n_params", "n_chains", "blocks", "dtype", "order"))
     except OSError as err:
         raise ValueError(f"{json_path}: cannot be read: {err.strerror}") \
             from None
@@ -394,6 +393,9 @@ def load_draws(bin_path, json_path, layout=None) -> PosteriorDraws:
             and (blocks is None or isinstance(blocks, dict))):
         raise ValueError(f"{json_path}: n_draws, n_params, n_chains or "
                          f"blocks has the wrong type or value")
+    if (dtype, order) != ("float64_le", "C"):
+        raise ValueError(f"{json_path}: dtype {dtype!r} and order {order!r} "
+                         f"are not 'float64_le' and 'C'")
     try:
         raw = np.fromfile(bin_path, dtype="u1")  # a partial value counts too
     except OSError as err:

@@ -70,8 +70,12 @@ def run_sbc(scenario: Scenario, reps=200, n_rank_draws=19,
             warmup=300, iters=400, seed=0,
             prior: PriorConfig | None = None):
     """Rank statistics over ``reps`` replications; returns (ranks, layout)
-    with ranks of shape (reps, P), each rank in 0..n_rank_draws. Progress
-    is logged at INFO on the ``mrpkit.sbc`` logger every 20 replications."""
+    with ranks of shape (reps, P), each rank in 0..n_rank_draws, which
+    needs ``iters`` >= ``n_rank_draws``. Progress is logged at INFO on the
+    ``mrpkit.sbc`` logger every 20 replications."""
+    if iters < n_rank_draws:
+        raise ValueError(f"iters {iters} gives fewer than n_rank_draws "
+                         f"{n_rank_draws} draws to rank against")
     prior = prior or PriorConfig(coef_scale=1.0, log_scale_sd=1.0)
     states = make_states(scenario)
     cells = make_cells(scenario, states)
@@ -116,8 +120,10 @@ def chi2_sf(x: float, df: int) -> float:
 def uniformity_pvalues(ranks, n_rank_draws=19) -> np.ndarray:
     """Chi-square goodness-of-fit p-value of the rank histogram in
     UNIFORMITY_BINS bins, per parameter. Ranks take values 0..n_rank_draws
-    (n_rank_draws+1 outcomes)."""
+    (n_rank_draws+1 outcomes); ValueError for one outside them."""
     reps, P = ranks.shape
+    if np.any((ranks < 0) | (ranks > n_rank_draws)):
+        raise ValueError(f"ranks outside 0..{n_rank_draws}")
     levels = n_rank_draws + 1
     edges = np.linspace(0, levels, UNIFORMITY_BINS + 1)
     expected = reps / UNIFORMITY_BINS

@@ -380,6 +380,39 @@ def test_poststratify_recorded_short_row(fitted_run, tmp_path, capsys):
         in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def voterless_run(tmp_path_factory):
+    """A 4-state world whose cells.csv gives state S02 no adults, fitted
+    briefly, and a recorded-shares file for it."""
+    tmp_path = tmp_path_factory.mktemp("voterless")
+    simcfg, datadir = _sim_config(tmp_path, S=4, n=400)
+    assert main(["simulate", "--config", simcfg]) == 0
+    path = datadir / "cells.csv"
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("S02,"):
+            state, income, _, turnout = line.split(",")
+            lines[i] = f"{state},{income},0.0,{turnout}"
+    path.write_text("\n".join(lines) + "\n")
+    fitcfg = _fit_config(tmp_path, datadir, tmp_path / "run", warmup=50,
+                         iters=50)
+    assert main(["fit", "--config", fitcfg]) in (0, 3)
+    rec = _recorded(tmp_path / "recorded.csv", load_states(datadir /
+                                                           "states.csv"))
+    return fitcfg, rec
+
+
+@pytest.mark.parametrize("grouping", ["income", "", "region", "state"])
+def test_poststratify_recorded_refuses_a_state_without_voters(
+        voterless_run, capsys, grouping):
+    # calibration refuses the state before any grouping sums it, so no
+    # grouping writes NaN estimates
+    fitcfg, rec = voterless_run
+    assert main(["poststratify", "--config", fitcfg, "--grouping", grouping,
+                 "--recorded", rec]) == 2
+    assert "state 2 has zero total voter weight" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name,row,line", [("cells.csv", 3, "S01,2"),
                                            ("states.csv", 2, "S01,0.1")])
 def test_fit_short_row_names_file_and_row(tmp_path, capsys, name, row, line):
@@ -486,6 +519,9 @@ _BAD_HEADERS = {  # problem: (edit of the parsed draws.json, text of error)
     "no n_chains": (lambda h: h.pop("n_chains"), "n_chains"),
     "no blocks": (lambda h: h.pop("blocks"), "blocks"),
     "not JSON": (None, "not a draws header"),
+    "big-endian float32": (lambda h: h.update(dtype="float32_be"),
+                           "float32_be"),
+    "Fortran order": (lambda h: h.update(order="F"), "'F'"),
 }
 
 

@@ -275,6 +275,17 @@ def test_calibrate_rejects_degenerate_share():
         calibrate_to_totals(est, np.array([1.0, 0.5]))
 
 
+def test_calibrate_refuses_a_state_without_voters():
+    # no cell of state 2 has a voter, so no shift of its cells matches a
+    # share; the weights would be 0/0
+    cells = CellTable([1, 1, 2, 2], [1, 2, 1, 2], [0] * 4,
+                      [10.0, 10.0, 0.0, 0.0], [0.5] * 4)
+    est = _estimates(cells, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="state 2 has zero total voter "
+                                         "weight"):
+        calibrate_to_totals(est, np.array([0.4, 0.6]))
+
+
 # ---------------------------------------------------------------------------
 # income slopes
 

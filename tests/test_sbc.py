@@ -87,6 +87,23 @@ def test_uniformity_pvalues_detects_nonuniform():
     assert p[2] < 1e-10
 
 
+@pytest.mark.parametrize("bad", [-1, 20])
+def test_uniformity_pvalues_refuses_ranks_out_of_range(bad):
+    ranks = np.random.default_rng(1).integers(0, 20, size=(40, 2))
+    ranks[7, 1] = bad
+    with pytest.raises(ValueError, match=r"outside 0\.\.19"):
+        uniformity_pvalues(ranks, 19)
+
+
+def test_run_sbc_refuses_fewer_iters_than_rank_draws():
+    # 10 draws cannot be thinned to 19: the ranks would stop at 10 and a
+    # correct sampler would read as non-uniform
+    sc = Scenario(S=4, rung="M1", n=200, seed=3,
+                  state_predictors=("avg_income",))
+    with pytest.raises(ValueError, match="n_rank_draws 19"):
+        run_sbc(sc, reps=1, warmup=10, iters=10, n_rank_draws=19)
+
+
 @pytest.mark.parametrize("df", range(1, 21))
 def test_chi2_sf_matches_scipy(df):
     for x in np.linspace(0.0, 200.0, 2001):
