@@ -9,7 +9,6 @@ Run: python3 demos/poststratify_and_calibrate.py
 
 import numpy as np
 
-from mrpkit.design import build_layout
 from mrpkit.model import LogDensityModel
 from mrpkit.poststrat import calibrate_to_totals, poststratify, predict_cells
 from mrpkit.samplers import sample_mcmc
@@ -26,13 +25,12 @@ states = make_states(scenario)
 cells = make_cells(scenario, states)
 truth = draw_truth(scenario, states, cells)
 dataset = simulate_poll(truth, scenario, states, cells)
-layout = build_layout(scenario.spec, states)
 
 model = LogDensityModel(dataset, scenario.spec)
 draws = sample_mcmc(model, chains=2, warmup=400, iters=600, seed=2)
-est = predict_cells(draws, cells, layout)
+est = predict_cells(draws, cells)
 
-by_state = poststratify(est, ("state",))
+by_state = poststratify(est, ("state",), states)
 s = by_state.summary()
 print("state aggregates before calibration:")
 for g, key in enumerate(by_state.keys):
@@ -43,8 +41,8 @@ for g, key in enumerate(by_state.keys):
 rng = np.random.default_rng(3)
 recorded = np.clip(s["mean"] + 0.05 * rng.standard_normal(len(by_state.keys)),
                    0.05, 0.95)
-cal, deltas = calibrate_to_totals(est, recorded)
-cal_state = poststratify(cal, ("state",))
+cal, deltas = calibrate_to_totals(est, recorded, states)
+cal_state = poststratify(cal, ("state",), states)
 print("\nafter calibration (aggregate must equal the recorded share):")
 for g, key in enumerate(cal_state.keys):
     print(f"  {states.labels[key[0] - 1]}  recorded {recorded[g]:.3f}  "

@@ -9,7 +9,6 @@ Run: python3 demos/redblue_pipeline.py
 
 import numpy as np
 
-from mrpkit.design import build_layout
 from mrpkit.model import LogDensityModel
 from mrpkit.poststrat import (
     national_income_gap,
@@ -30,20 +29,20 @@ states = make_states(scenario)
 cells = make_cells(scenario, states)
 truth = draw_truth(scenario, states, cells)
 dataset = simulate_poll(truth, scenario, states, cells)
-layout = build_layout(scenario.spec, states)
 
 print(f"simulated poll: {len(dataset.survey)} respondents, "
       f"{len(cells)} cells, {states.n_states} states")
 
 model = LogDensityModel(dataset, scenario.spec)
+layout = model.layout  # derived from the spec and the state table
 draws = sample_mcmc(model, chains=2, warmup=400, iters=800, seed=1)
 diag = draws.diagnostics
 print(f"sampling: rhat max {np.nanmax(diag['rhat']):.3f}, "
       f"min ESS {np.nanmin(diag['ess']):.0f}, "
       f"{diag['divergent']} divergences")
 
-est = predict_cells(draws, cells, layout)
-slopes = state_income_slopes(est, states)
+est = predict_cells(draws, cells)
+slopes = state_income_slopes(est)
 gap = slopes["gap"]["mean"]
 
 order = np.argsort(states.avg_income)

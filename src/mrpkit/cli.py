@@ -252,13 +252,13 @@ def cmd_poststratify(cfg: RunConfig, grouping: str, recorded_path=None,
     _check_manifest(cfg, ("cells", "states"))  # the survey is not needed
     states = load_states(cfg.states)
     cells = load_cells(cfg.cells, cfg.spec, states)
-    layout = build_layout(cfg.spec, states)
     draws = load_draws(os.path.join(cfg.outdir, "draws.bin"),
-                       os.path.join(cfg.outdir, "draws.json"), layout)
-    est = predict_cells(draws, cells, layout)
+                       os.path.join(cfg.outdir, "draws.json"),
+                       build_layout(cfg.spec, states))
+    est = predict_cells(draws, cells)
     if recorded_path:
         rec = load_recorded(recorded_path, states)
-        est, _ = calibrate_to_totals(est, rec)
+        est, _ = calibrate_to_totals(est, rec, states)
     dims = tuple(d.strip() for d in grouping.split(",")) if grouping else ()
     agg = poststratify(est, dims, states)
     name = "_".join(dims) if dims else "national"
@@ -291,11 +291,11 @@ def cmd_poststratify(cfg: RunConfig, grouping: str, recorded_path=None,
 def cmd_diagnose(cfg: RunConfig) -> int:
     _check_manifest(cfg, ("survey", "cells", "states"))
     dataset = load_dataset(cfg.survey, cfg.cells, cfg.states, cfg.spec)
-    layout = build_layout(cfg.spec, dataset.states)
     draws = load_draws(os.path.join(cfg.outdir, "draws.bin"),
-                       os.path.join(cfg.outdir, "draws.json"), layout)
-    est = predict_cells(draws, dataset.cells, layout)
-    agg = poststratify(est, ("state", "income"))
+                       os.path.join(cfg.outdir, "draws.json"),
+                       build_layout(cfg.spec, dataset.states))
+    agg = poststratify(predict_cells(draws, dataset.cells),
+                       ("state", "income"), dataset.states)
     s = agg.summary()
     # keys are the full (state, income) cross in order; a state's mean is
     # the voter-weighted mean of its income groups' means

@@ -6,7 +6,8 @@ validate category ranges, key uniqueness, and cross completeness up front so
 downstream code can index without checks.
 The cell order lives here (``cell_position``, ``cell_cross``), as does the
 state-label map (``StateTable.label_index``). A poll is its counts per cell
-(``Survey``); only ``load_survey`` and ``write_survey`` see respondent rows.
+(``Survey``); only ``load_survey`` and ``write_survey`` see respondent rows;
+the writers label states as the state table does.
 """
 
 from __future__ import annotations
@@ -469,31 +470,30 @@ def load_dataset(survey_path, cells_path, states_path, spec) -> Dataset:
 # ---------------------------------------------------------------------------
 # writers (round-trip support and synthetic-data output)
 
-def key_columns(table, states: StateTable | None, use_ethnicity: bool):
-    """Header and columns of a cell table's keys: state label (the index
-    when ``states`` is None), income and, if used, ethnicity. Each label is
-    one shared string; each code a cached small int."""
-    labels = states.labels if states is not None else \
-        [str(i) for i in range(1, int(table.state_id.max(initial=0)) + 1)]
+def key_columns(table: CellTable, states: StateTable):
+    """Header and columns of a cell table's keys: state label, income and,
+    if the table has it, ethnicity. Each label is one shared string; each
+    code a cached small int."""
+    use_ethnicity = table.use_ethnicity
     header = ["state", "income"] + (["ethnicity"] if use_ethnicity else [])
-    cols = [np.array(labels, dtype=object)[table.state_id - 1],
+    cols = [np.array(states.labels, dtype=object)[table.state_id - 1],
             table.income_cat.tolist()]
     if use_ethnicity:
         cols.append(table.ethnicity.tolist())
     return header, cols
 
 
-def _write_csv(path, header, cols) -> None:
+def write_csv(path, header, cols, lineterminator="\r\n") -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
+        w = csv.writer(f, lineterminator=lineterminator)
         w.writerow(header)
         w.writerows(zip(*cols))
 
 
 def write_states(states: StateTable, path) -> None:
-    _write_csv(path, ["state", "avg_income", "prev_rep_share", "region"],
-               [states.labels, states.avg_income.tolist(),
-                states.prev_rep_share.tolist(), states.region_id.tolist()])
+    write_csv(path, ["state", "avg_income", "prev_rep_share", "region"],
+              [states.labels, states.avg_income.tolist(),
+               states.prev_rep_share.tolist(), states.region_id.tolist()])
 
 
 def write_survey(dataset: Dataset, path) -> None:
@@ -501,7 +501,7 @@ def write_survey(dataset: Dataset, path) -> None:
     order, each cell's Republican votes first. Each cell's two rows are
     formatted once and written k and n - k times."""
     cells, n, k = dataset.cells, dataset.survey.n, dataset.survey.k
-    header, cols = key_columns(cells, dataset.states, cells.use_ethnicity)
+    header, cols = key_columns(cells, dataset.states)
     lines = []
     w = csv.writer(SimpleNamespace(write=lines.append))  # a line per row
     w.writerow(header + ["vote"])
@@ -511,7 +511,7 @@ def write_survey(dataset: Dataset, path) -> None:
         f.writelines(map(operator.mul, lines, repeats))
 
 
-def write_cells(cells: CellTable, path, states: StateTable | None = None) -> None:
-    header, cols = key_columns(cells, states, cells.use_ethnicity)
-    _write_csv(path, header + ["n_adults", "turnout_rate"],
-               cols + [cells.n_adults.tolist(), cells.turnout_rate.tolist()])
+def write_cells(cells: CellTable, path, states: StateTable) -> None:
+    header, cols = key_columns(cells, states)
+    write_csv(path, header + ["n_adults", "turnout_rate"],
+              cols + [cells.n_adults.tolist(), cells.turnout_rate.tolist()])

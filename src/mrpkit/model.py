@@ -25,7 +25,6 @@ import numpy as np
 from mrpkit.data import N_INCOME, Dataset
 from mrpkit.design import (
     ModelSpec,
-    ParameterLayout,
     build_layout,
     eta_adjoint,
     eta_kernel,
@@ -110,25 +109,22 @@ def _gram(pairs, w):
 
 
 class LogDensityModel:
-    """Posterior density of one dataset under one model spec.
-
-    Pure given (params); safe to evaluate concurrently.
+    """Posterior density of one dataset under one model spec; derives its
+    ``layout`` from both. Pure given (params); safe to evaluate concurrently.
     """
 
     def __init__(self, dataset: Dataset, spec: ModelSpec,
-                 prior: PriorConfig | None = None,
-                 layout: ParameterLayout | None = None):
+                 prior: PriorConfig | None = None):
         self.spec = spec
         self.prior = prior or PriorConfig()
-        self.layout = layout or build_layout(spec, dataset.states)
-        self.states = dataset.states
-        self.cells = dataset.cells
+        self.layout = build_layout(spec, dataset.states)
         self.W = predictor_matrix(dataset.states, spec)
 
         self.n_c = dataset.survey.n.astype(float)
         self.k_c = dataset.survey.k.astype(float)
-        self._idx = unit_index(self.layout, self.cells.state_id,
-                               self.cells.income_cat, self.cells.ethnicity)
+        cells = dataset.cells
+        self._idx = unit_index(self.layout, cells.state_id, cells.income_cat,
+                               cells.ethnicity)
 
         # read once here, not on each of a fit's thousands of grad calls:
         # the length, the rung flags, the vector blocks' slices and the

@@ -2,7 +2,7 @@
 
 Every aggregate is the voter-count-weighted average of its member cells,
 computed per posterior draw; summaries are taken from the aggregated draws,
-never from aggregating summaries.
+never from aggregating summaries; cells are predicted in the draws' layout.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mrpkit.data import N_INCOME, CellTable, StateTable
-from mrpkit.design import (ParameterLayout, eta_cells, expit, income_code,
-                           logit)
+from mrpkit.design import eta_cells, expit, income_code, logit
 from mrpkit.samplers import PosteriorDraws
 
 CALIBRATE_TOL = 1e-10     # |state aggregate - recorded share| to stop at
@@ -67,11 +66,14 @@ class AggregateEstimates:
         return draw_summary(self.theta)
 
 
-def predict_cells(draws: PosteriorDraws, cells: CellTable,
-                  layout: ParameterLayout) -> CellEstimates:
-    """Linear predictor for every cell under every draw."""
-    return CellEstimates(cells, eta_cells(draws.draws, layout, cells.state_id,
-                                          cells.income_cat, cells.ethnicity))
+def predict_cells(draws: PosteriorDraws, cells: CellTable) -> CellEstimates:
+    """Linear predictor for every cell under every draw, in the layout the
+    draws carry; ValueError for draws without one."""
+    if draws.layout is None:
+        raise ValueError("draws carry no parameter layout")
+    return CellEstimates(cells, eta_cells(draws.draws, draws.layout,
+                                          cells.state_id, cells.income_cat,
+                                          cells.ethnicity))
 
 
 def _group_labels(cells: CellTable, dims, states: StateTable | None):
@@ -115,7 +117,9 @@ def poststratify(cell_estimates: CellEstimates, grouping=(),
     weight = np.bincount(gidx, weights=N, minlength=G)
     zero = np.flatnonzero(weight == 0)
     if len(zero):
-        raise ValueError(f"group {keys[zero[0]]} has zero total voter weight")
+        key = {d: states.labels[v - 1] if d == "state" and states else v
+               for d, v in zip(dims, keys[zero[0]])}
+        raise ValueError(f"group {key} has zero total voter weight")
 
     # every group has a cell, so the segment starts rise strictly
     order = np.argsort(gidx, kind="stable")
@@ -128,7 +132,8 @@ def poststratify(cell_estimates: CellEstimates, grouping=(),
     return AggregateEstimates(dims, keys, num / weight, weight)
 
 
-def calibrate_to_totals(cell_estimates: CellEstimates, recorded):
+def calibrate_to_totals(cell_estimates: CellEstimates, recorded,
+                        states: StateTable | None = None):
     """Shift each state's cell linear predictors so the state aggregate
     matches its recorded two-party Republican share, separately per draw.
 
@@ -140,13 +145,15 @@ def calibrate_to_totals(cell_estimates: CellEstimates, recorded):
     cells = cell_estimates.cells
     S = cells.n_states
     rec = np.asarray(recorded, dtype=float)
+    names = states.labels if states is not None else range(1, S + 1)
     if len(rec) != S:
         raise ValueError(f"recorded totals cover {len(rec)} states, "
                          f"expected {S}")
     if np.any((rec <= 0.0) | (rec >= 1.0)):
-        bad = int(np.argmax((rec <= 0.0) | (rec >= 1.0))) + 1
-        raise ValueError(f"recorded share for state {bad} is not strictly "
-                         f"inside (0, 1); no finite logit shift exists")
+        bad = int(np.argmax((rec <= 0.0) | (rec >= 1.0)))
+        raise ValueError(f"recorded share for state {names[bad]} is not "
+                         f"strictly inside (0, 1); no finite logit shift "
+                         f"exists")
 
     eta = cell_estimates.eta.copy()
     D = eta.shape[0]
@@ -155,7 +162,8 @@ def calibrate_to_totals(cell_estimates: CellEstimates, recorded):
         mask = cells.state_id == s
         w = cells.n_voters[mask]
         if not w.sum() > 0:
-            raise ValueError(f"state {s} has zero total voter weight")
+            raise ValueError(f"state {names[s - 1]} has zero total voter "
+                             f"weight")
         w = w / w.sum()
         sub = eta[:, mask]  # (D, C_s)
         target = rec[s - 1]
@@ -182,8 +190,7 @@ def calibrate_to_totals(cell_estimates: CellEstimates, recorded):
     return CellEstimates(cells, eta), deltas
 
 
-def state_income_slopes(cell_estimates: CellEstimates,
-                        states: StateTable | None = None) -> dict:
+def state_income_slopes(cell_estimates: CellEstimates) -> dict:
     """Per-state income-voting slope on the probability scale.
 
     Primary measure: top income category minus bottom. Secondary: the
@@ -198,11 +205,8 @@ def state_income_slopes(cell_estimates: CellEstimates,
     z = income_code(np.arange(1, N_INCOME + 1))
     ls = (curve @ z) / float(np.sum(z * z))
 
-    out = {"gap": draw_summary(gap), "ls_slope": draw_summary(ls),
-           "gap_draws": gap, "ls_slope_draws": ls}
-    if states is not None:
-        out["avg_income"] = states.avg_income.copy()
-    return out
+    return {"gap": draw_summary(gap), "ls_slope": draw_summary(ls),
+            "gap_draws": gap, "ls_slope_draws": ls}
 
 
 def national_income_gap(cell_estimates: CellEstimates) -> np.ndarray:

@@ -6,7 +6,8 @@ behind the dense metric.
 Any object exposing ``n_params``, ``log_posterior(x)`` and ``grad(x)`` can be
 sampled from a diffuse start; a start at the mode (``init="map"``) also
 needs ``initial_point()``. LogDensityModel is the usual target but test
-stubs work too. This module needs numpy alone.
+stubs work too. Draws carry the model's ``layout`` into ``save_draws``'s
+header. This module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -361,6 +362,9 @@ def write_json(path, obj) -> None:
 
 
 def save_draws(draws: PosteriorDraws, bin_path, json_path) -> None:
+    """Flat float64 draws and a JSON header with the draws' layout."""
+    if draws.layout is None:
+        raise ValueError("draws carry no parameter layout to save")
     arr = np.ascontiguousarray(draws.draws, dtype="<f8")
     with open(bin_path, "wb") as f:
         f.write(arr.tobytes())
@@ -370,14 +374,15 @@ def save_draws(draws: PosteriorDraws, bin_path, json_path) -> None:
         "n_chains": int(draws.n_chains),
         "dtype": "float64_le",
         "order": "C",
-        "blocks": draws.layout.block_dict() if draws.layout is not None else None,
+        "blocks": draws.layout.block_dict(),
     })
 
 
-def load_draws(bin_path, json_path, layout=None) -> PosteriorDraws:
-    """Draws that ``save_draws`` wrote; ValueError naming the file that
-    cannot be read, whose header is not one or names another dtype or
-    order, or whose size or blocks do not match."""
+def load_draws(bin_path, json_path, layout) -> PosteriorDraws:
+    """Draws that ``save_draws`` wrote, carrying ``layout``; ValueError
+    naming the file that cannot be read, whose header is not one or names
+    another dtype or order, whose size does not match, or whose blocks and
+    n_params are not the layout's."""
     try:
         with open(json_path, encoding="utf-8") as f:
             header = json.load(f)
@@ -389,10 +394,12 @@ def load_draws(bin_path, json_path, layout=None) -> PosteriorDraws:
     except (ValueError, LookupError, TypeError) as err:
         raise ValueError(f"{json_path}: not a draws header: {err!r}") from None
     if not (all(type(v) is int and v >= 0 for v in (D, P))
-            and type(C) is int and C >= 1 and D % C == 0
-            and (blocks is None or isinstance(blocks, dict))):
-        raise ValueError(f"{json_path}: n_draws, n_params, n_chains or "
-                         f"blocks has the wrong type or value")
+            and type(C) is int and C >= 1 and D % C == 0):
+        raise ValueError(f"{json_path}: n_draws, n_params or n_chains has "
+                         f"the wrong type or value")
+    if blocks != layout.block_dict() or P != layout.n_params:
+        raise ValueError(f"{json_path}: blocks or n_params do not match the "
+                         f"layout")
     if (dtype, order) != ("float64_le", "C"):
         raise ValueError(f"{json_path}: dtype {dtype!r} and order {order!r} "
                          f"are not 'float64_le' and 'C'")
@@ -404,7 +411,4 @@ def load_draws(bin_path, json_path, layout=None) -> PosteriorDraws:
     if raw.size != 8 * D * P:
         raise ValueError(f"{bin_path}: expected {8 * D * P} bytes, got "
                          f"{raw.size}")
-    if layout is not None and blocks is not None \
-            and layout.block_dict() != blocks:
-        raise ValueError(f"{json_path}: blocks do not match the layout")
     return PosteriorDraws(raw.view("<f8").reshape(D, P), C, layout=layout)

@@ -85,7 +85,7 @@ def run_sbc(scenario: Scenario, reps=200, n_rank_draws=19,
         rng = np.random.default_rng([seed, 100 + r])
         truth = draw_from_prior(scenario, prior, states, rng)
         dataset = _simulate_fixed_design(truth, scenario, states, cells, rng)
-        model = LogDensityModel(dataset, scenario.spec, prior, layout)
+        model = LogDensityModel(dataset, scenario.spec, prior)
         draws = sample_mcmc(model, chains=1, warmup=warmup, iters=iters,
                             seed=int(rng.integers(2 ** 31)), init="diffuse")
         thin = max(1, iters // n_rank_draws)

@@ -3,12 +3,12 @@
 Data are drawn from the declared rung's own generative model so that
 inference on the same rung is well specified; the red/blue scenario adds a
 generator-only dependence of the state income slope on state income to
-reproduce the rich-state/poor-state slope pattern.
+reproduce the rich-state/poor-state slope pattern. Callers make a world's
+tables once (``make_states``, ``make_cells``) and pass them in.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
@@ -22,6 +22,7 @@ from mrpkit.data import (
     cell_cross,
     key_columns,
     write_cells,
+    write_csv,
     write_states,
     write_survey,
 )
@@ -98,11 +99,10 @@ def make_cells(scenario: Scenario, states: StateTable) -> CellTable:
                      np.asarray(DEFAULT_TURNOUT)[inc - 1])
 
 
-def draw_truth(scenario: Scenario, states: StateTable | None = None,
-               cells: CellTable | None = None) -> np.ndarray:
+def draw_truth(scenario: Scenario, states: StateTable,
+               cells: CellTable) -> np.ndarray:
     """True parameter vector in the scenario rung's layout; deterministic
     per (scenario, seed)."""
-    states = states if states is not None else make_states(scenario)
     spec = scenario.spec
     layout = build_layout(spec, states)
     W = predictor_matrix(states, spec)
@@ -137,7 +137,6 @@ def draw_truth(scenario: Scenario, states: StateTable | None = None,
         params[layout.sl("sigma_cat")] = np.log(SIGMA_CAT)
 
     if scenario.target_national_gap is not None and spec.varying_slope:
-        cells = cells if cells is not None else make_cells(scenario, states)
         params = _scale_slopes_to_gap(params, layout, cells,
                                       scenario.target_national_gap)
     return params
@@ -179,21 +178,18 @@ def _scale_slopes_to_gap(params, layout, cells, target, tol=1e-8):
     return with_scale(0.5 * (lo + hi))
 
 
-def true_cell_theta(truth, scenario: Scenario, states=None, cells=None):
-    states = states if states is not None else make_states(scenario)
-    cells = cells if cells is not None else make_cells(scenario, states)
+def true_cell_theta(truth, scenario: Scenario, states: StateTable,
+                    cells: CellTable) -> np.ndarray:
     layout = build_layout(scenario.spec, states)
     return expit(eta_cells(truth, layout, cells.state_id, cells.income_cat,
                            cells.ethnicity))
 
 
-def simulate_poll(truth, scenario: Scenario, states: StateTable | None = None,
-                  cells: CellTable | None = None, rng=None) -> Dataset:
+def simulate_poll(truth, scenario: Scenario, states: StateTable,
+                  cells: CellTable, rng=None) -> Dataset:
     """Respondents allocated to cells in proportion to adult population,
     votes flipped at the cell probability; the poll is those two counts per
     cell. ``rng`` defaults to the scenario's own poll stream."""
-    states = states if states is not None else make_states(scenario)
-    cells = cells if cells is not None else make_cells(scenario, states)
     theta = true_cell_theta(truth, scenario, states, cells)
     rng = rng if rng is not None else _rng(scenario, 2)
 
@@ -234,9 +230,7 @@ def write_scenario_files(scenario: Scenario, outdir) -> dict:
     write_states(states, paths["states"])
     write_survey(dataset, paths["survey"])
     write_cells(cells, paths["cells"], states)
-    header, cols = key_columns(cells, states, scenario.use_ethnicity)
-    with open(paths["truth"], "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header + ["theta"])
-        w.writerows(zip(*cols, theta.tolist()))
+    header, cols = key_columns(cells, states)
+    write_csv(paths["truth"], header + ["theta"], cols + [theta.tolist()],
+              lineterminator="\n")
     return paths

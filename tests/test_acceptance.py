@@ -212,7 +212,7 @@ def redblue_reps():
         model = LogDensityModel(ds, sc.spec)
         draws = sample_mcmc(model, chains=2, warmup=300, iters=500,
                             seed=1000 + r)
-        est = predict_cells(draws, cells, layout)
+        est = predict_cells(draws, cells)
         theta = est.theta
 
         true_slope = truth[layout.sl("beta")][0] + truth[layout.sl("slope")]

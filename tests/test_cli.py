@@ -410,7 +410,15 @@ def test_poststratify_recorded_refuses_a_state_without_voters(
     fitcfg, rec = voterless_run
     assert main(["poststratify", "--config", fitcfg, "--grouping", grouping,
                  "--recorded", rec]) == 2
-    assert "state 2 has zero total voter weight" in capsys.readouterr().err
+    assert "state S02 has zero total voter weight" in capsys.readouterr().err
+
+
+def test_poststratify_names_a_voterless_state_group_by_label(voterless_run,
+                                                            capsys):
+    fitcfg, _ = voterless_run
+    assert main(["poststratify", "--config", fitcfg]) == 2
+    assert "group {'state': 'S02'} has zero total voter weight" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name,row,line", [("cells.csv", 3, "S01,2"),
@@ -518,6 +526,7 @@ _BAD_HEADERS = {  # problem: (edit of the parsed draws.json, text of error)
                         "n_chains"),
     "no n_chains": (lambda h: h.pop("n_chains"), "n_chains"),
     "no blocks": (lambda h: h.pop("blocks"), "blocks"),
+    "null blocks": (lambda h: h.update(blocks=None), "blocks"),
     "not JSON": (None, "not a draws header"),
     "big-endian float32": (lambda h: h.update(dtype="float32_be"),
                            "float32_be"),

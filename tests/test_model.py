@@ -231,6 +231,26 @@ def test_initial_point_newton_points_are_conditional_modes(rung, mode):
         assert np.array_equal(np.delete(y, loc), np.delete(x, loc))
 
 
+@pytest.mark.parametrize("rung", ["M1", "M2", "M3"])
+def test_initial_point_scales_are_moment_updates_of_its_location(rung):
+    # initial_point ends on a scale update, so each scale it returns is the
+    # moment estimate from the location it returns
+    model = _toy_model(S=5, rung=rung, seed=6, n=1500)
+    lay = model.layout
+    x = model.initial_point()
+    u = x[lay.sl("alpha")] - model.W @ x[lay.sl("gamma")]
+    want = {"sigma_alpha": np.log(max(np.std(u), 1e-2))}
+    if rung != "M1":
+        v = x[lay.sl("slope")] - x[lay.sl("slope_mu")]
+        want["slope_sigma"] = np.log(max(np.std(v), 1e-2))
+        want["corr"] = np.arctanh(np.clip(np.corrcoef(u, v)[0, 1],
+                                          -0.95, 0.95))
+    if rung == "M3":
+        want["sigma_cat"] = np.log(max(np.std(x[lay.sl("cat")]), 1e-2))
+    for name, value in want.items():
+        assert x[lay.sl(name)][0] == value, name
+
+
 def test_prior_config_validation():
     with pytest.raises(ValueError):
         PriorConfig("flat")

@@ -40,7 +40,7 @@ def test_predict_cells_zero_params():
     layout = build_layout(ModelSpec("M1"), states)
     cells = make_cell_table(3)
     draws = PosteriorDraws(np.zeros((1, layout.n_params)), 1, layout)
-    est = predict_cells(draws, cells, layout)
+    est = predict_cells(draws, cells)
     assert np.all(est.theta == 0.5)
 
 
@@ -50,8 +50,7 @@ def test_predict_cells_single_alpha():
     cells = make_cell_table(8)
     params = np.zeros(layout.n_params)
     params[layout.sl("alpha")][6] = 0.5
-    est = predict_cells(PosteriorDraws(params[None, :], 1, layout),
-                        cells, layout)
+    est = predict_cells(PosteriorDraws(params[None, :], 1, layout), cells)
     mask = cells.state_id == 7
     assert np.allclose(est.theta[0, mask], expit(0.5))
     assert abs(est.theta[0, mask][0] - 0.6225) < 1e-4
@@ -66,7 +65,7 @@ def test_predict_cells_naive_oracle():
     cells = make_cell_table(50, use_ethnicity=True, seed=1)
     rng = np.random.default_rng(10)
     mat = 0.3 * rng.standard_normal((200, layout.n_params))
-    est = predict_cells(PosteriorDraws(mat, 1, layout), cells, layout)
+    est = predict_cells(PosteriorDraws(mat, 1, layout), cells)
 
     beta_sl = layout.sl("beta")
     alpha_sl = layout.sl("alpha")
@@ -89,7 +88,14 @@ def test_predict_cells_cross_mismatch():
     cells = make_cell_table(5)  # refers to states 4..5, outside the layout
     draws = PosteriorDraws(np.zeros((1, layout.n_params)), 1, layout)
     with pytest.raises(ValueError):
-        predict_cells(draws, cells, layout)
+        predict_cells(draws, cells)
+
+
+def test_predict_cells_refuses_draws_without_a_layout():
+    cells = make_cell_table(3)
+    draws = PosteriorDraws(np.zeros((1, 9)), 1)
+    with pytest.raises(ValueError, match="no parameter layout"):
+        predict_cells(draws, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +196,11 @@ def test_poststratify_zero_weight_group():
     est = _estimates(cells, np.zeros((1, 4)))
     with pytest.raises(ValueError, match="zero total voter weight"):
         poststratify(est, ("state",))
+    # with the state table, the state is named by its label
+    states = make_state_table(2)
+    with pytest.raises(ValueError, match=r"group \{'state': 'S02'\} has "
+                                         "zero total voter weight"):
+        poststratify(est, ("state",), states)
 
 
 def test_poststratify_unknown_dimension():
@@ -271,8 +282,10 @@ def test_calibrate_idempotent():
 def test_calibrate_rejects_degenerate_share():
     cells = make_cell_table(2)
     est = _estimates(cells, np.zeros((1, len(cells))))
-    with pytest.raises(ValueError, match="strictly"):
+    with pytest.raises(ValueError, match="state 1 is not strictly"):
         calibrate_to_totals(est, np.array([1.0, 0.5]))
+    with pytest.raises(ValueError, match="state S02 is not strictly"):
+        calibrate_to_totals(est, np.array([0.5, 0.0]), make_state_table(2))
 
 
 def test_calibrate_refuses_a_state_without_voters():
@@ -284,6 +297,9 @@ def test_calibrate_refuses_a_state_without_voters():
     with pytest.raises(ValueError, match="state 2 has zero total voter "
                                          "weight"):
         calibrate_to_totals(est, np.array([0.4, 0.6]))
+    with pytest.raises(ValueError, match="state S02 has zero total voter "
+                                         "weight"):
+        calibrate_to_totals(est, np.array([0.4, 0.6]), make_state_table(2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 
 import numpy as np
@@ -170,6 +172,18 @@ def test_mcmc_diffuse_init():
     assert abs(draws.draws.mean() - 3.0) < 0.1
 
 
+def test_mcmc_diffuse_metric_whitens_far_apart_scales():
+    # sds 0.1 and 10: the adapted diagonal metric holds the variances, so
+    # the whitened target takes steps near 1 (0.89-1.51 over seeds 0-19).
+    # Inverse variances leave steps near 0.01, and the unit metric with no
+    # adaptation near 0.13
+    model = _GaussianStub(np.zeros(2), np.diag([0.1 ** -2, 10.0 ** -2]))
+    draws = sample_mcmc(model, chains=2, warmup=300, iters=100, seed=0,
+                        init="diffuse")
+    for eps in draws.diagnostics["step_size"]:
+        assert 0.6 < eps < 2.0
+
+
 def test_mcmc_evaluates_each_point_once():
     # the step-size searches start from the log density and gradient the
     # chain already holds
@@ -257,6 +271,38 @@ def test_save_load_round_trip(tmp_path, small_dataset):
     back = load_draws(bp, jp, model.layout)
     assert np.array_equal(back.draws, draws.draws)
     assert back.n_chains == draws.n_chains == 2
+    assert draws.layout is back.layout is model.layout
+
+
+def test_save_refuses_draws_without_a_layout(tmp_path):
+    draws = PosteriorDraws(np.zeros((4, 3)), 2)
+    bp, jp = tmp_path / "d.bin", tmp_path / "d.json"
+    with pytest.raises(ValueError, match="no parameter layout"):
+        save_draws(draws, bp, jp)
+    assert not bp.exists() and not jp.exists()
+
+
+@pytest.mark.parametrize("problem", ["blocks a list", "n_params + 3"])
+def test_load_refuses_blocks_or_n_params_not_the_layouts(tmp_path,
+                                                         small_dataset,
+                                                         problem):
+    # a header whose blocks are not the layout's dict, or whose n_params is
+    # not the layout's length with a draws.bin of that many columns
+    model = LogDensityModel(small_dataset, ModelSpec("M1"))
+    P = model.n_params
+    draws = PosteriorDraws(np.zeros((4, P)), 2, model.layout)
+    bp, jp = tmp_path / "d.bin", tmp_path / "d.json"
+    save_draws(draws, bp, jp)
+    header = json.loads(jp.read_text())
+    if problem == "blocks a list":
+        header["blocks"] = list(header["blocks"].items())
+    else:
+        header["n_params"] = P + 3
+        np.zeros((4, P + 3)).tofile(bp)
+    jp.write_text(json.dumps(header))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{jp}: blocks or n_params")):
+        load_draws(bp, jp, model.layout)
 
 
 def test_load_rejects_layout_mismatch(tmp_path, small_dataset):

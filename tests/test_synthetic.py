@@ -24,7 +24,7 @@ def test_truth_degenerate_hierarchy():
                   gamma=(0.2, -0.1, 0.05))
     states = make_states(sc)
     layout = build_layout(sc.spec, states)
-    truth = draw_truth(sc, states)
+    truth = draw_truth(sc, states, make_cells(sc, states))
     W = predictor_matrix(states, sc.spec)
     alpha = truth[layout.sl("alpha")]
     assert np.allclose(alpha, W @ np.array(sc.gamma), atol=1e-12)
@@ -32,7 +32,11 @@ def test_truth_degenerate_hierarchy():
 
 def test_truth_deterministic():
     sc = Scenario(S=10, rung="M2", seed=21)
-    assert np.array_equal(draw_truth(sc), draw_truth(sc))
+
+    def truth():  # the world's tables are made afresh for each draw
+        states = make_states(sc)
+        return draw_truth(sc, states, make_cells(sc, states))
+    assert np.array_equal(truth(), truth())
 
 
 def test_truth_residual_sd_matches_sigma_alpha():
@@ -40,7 +44,7 @@ def test_truth_residual_sd_matches_sigma_alpha():
     sc = Scenario(S=10000, rung="M1", seed=5, sigma_alpha=0.3)
     states = make_states(sc)
     layout = build_layout(sc.spec, states)
-    truth = draw_truth(sc, states)
+    truth = draw_truth(sc, states, make_cells(sc, states))
     W = predictor_matrix(states, sc.spec)
     resid = truth[layout.sl("alpha")] - W @ truth[layout.sl("gamma")]
     assert abs(resid.std(ddof=1) / 0.3 - 1.0) < 0.02
@@ -60,7 +64,7 @@ def test_truth_slopes_are_the_rho_zero_form(sc):
     rng = np.random.default_rng([sc.seed, 1])
     z1, z2 = rng.standard_normal(sc.S), rng.standard_normal(sc.S)
     rho = 0.0
-    truth = draw_truth(sc, states)
+    truth = draw_truth(sc, states, make_cells(sc, states))
     assert np.array_equal(truth[layout.sl("alpha")],
                           W @ gamma + sc.sigma_alpha * z1)
     assert np.array_equal(
@@ -74,7 +78,7 @@ def test_m3_truth_offsets_are_zero():
     sc = Scenario(S=6, rung="M3", seed=2, use_ethnicity=True)
     states = make_states(sc)
     layout = build_layout(sc.spec, states)
-    truth = draw_truth(sc, states)
+    truth = draw_truth(sc, states, make_cells(sc, states))
     assert np.array_equal(truth[layout.sl("cat")], np.zeros(5))
     assert truth[layout.sl("sigma_cat")][0] == np.log(0.1)
     assert truth[layout.sl("corr")][0] == 0.0
@@ -86,10 +90,11 @@ def test_simulate_poll_balanced_at_zero_truth():
                   state_predictors=("avg_income",), gamma=(0.0, 0.0))
     states = make_states(sc)
     layout = build_layout(sc.spec, states)
-    truth = draw_truth(sc, states)
+    cells = make_cells(sc, states)
+    truth = draw_truth(sc, states, cells)
     assert np.allclose(truth, 0.0) or \
         np.allclose(truth[layout.sl("alpha")], 0.0)
-    sv = simulate_poll(truth, sc, states).survey
+    sv = simulate_poll(truth, sc, states, cells).survey
     assert abs(sv.k.sum() / sv.n.sum() - 0.5) < 0.005
 
 
@@ -138,7 +143,7 @@ def test_redblue_slope_pattern():
     layout = build_layout(sc.spec, states)
     eta = eta_cells(truth, layout, cells.state_id, cells.income_cat,
                     cells.ethnicity)
-    out = state_income_slopes(CellEstimates(cells, eta[None, :]), states)
+    out = state_income_slopes(CellEstimates(cells, eta[None, :]))
     gap = out["gap"]["mean"]
     rich = int(np.argmax(states.avg_income))
     poor = int(np.argmin(states.avg_income))
