@@ -108,8 +108,8 @@ CATALOGUE = (
         "var_hat = W + B / n",
         "split R-hat uses W in place of (n-1)/n W"),
     Bug("calibrate-state-index", "src/mrpkit/poststrat.py",
-        "names = states.labels if states is not None else range(1, S + 1)",
-        "names = range(1, S + 1)",
+        'raise ValueError(f"state {states.labels[s - 1]} has zero total "',
+        'raise ValueError(f"state {s} has zero total "',
         "calibrate_to_totals names a refused state by its 1-based index, "
         "which no input file holds, not by its label in states.csv"),
     Bug("calibrate-bracket-max", "src/mrpkit/poststrat.py",

@@ -117,8 +117,9 @@ def poststratify(cell_estimates: CellEstimates, grouping=(),
     weight = np.bincount(gidx, weights=N, minlength=G)
     zero = np.flatnonzero(weight == 0)
     if len(zero):
-        key = {d: states.labels[v - 1] if d == "state" and states else v
-               for d, v in zip(dims, keys[zero[0]])}
+        key = dict(zip(dims, keys[zero[0]]))
+        if "state" in key and states is not None:
+            key["state"] = states.labels[key["state"] - 1]
         raise ValueError(f"group {key} has zero total voter weight")
 
     # every group has a cell, so the segment starts rise strictly
@@ -133,26 +134,25 @@ def poststratify(cell_estimates: CellEstimates, grouping=(),
 
 
 def calibrate_to_totals(cell_estimates: CellEstimates, recorded,
-                        states: StateTable | None = None):
+                        states: StateTable):
     """Shift each state's cell linear predictors so the state aggregate
     matches its recorded two-party Republican share, separately per draw.
 
     ``recorded`` is an array of shares indexed by state (as ``load_recorded``
     returns), each strictly inside (0, 1); a state with zero total voter
-    weight has no share to match and is refused. Returns (calibrated
-    CellEstimates, deltas of shape (D, S)).
+    weight has no share to match and is refused, named by its label in
+    ``states``. Returns (calibrated CellEstimates, deltas of shape (D, S)).
     """
     cells = cell_estimates.cells
     S = cells.n_states
     rec = np.asarray(recorded, dtype=float)
-    names = states.labels if states is not None else range(1, S + 1)
     if len(rec) != S:
         raise ValueError(f"recorded totals cover {len(rec)} states, "
                          f"expected {S}")
     if np.any((rec <= 0.0) | (rec >= 1.0)):
         bad = int(np.argmax((rec <= 0.0) | (rec >= 1.0)))
-        raise ValueError(f"recorded share for state {names[bad]} is not "
-                         f"strictly inside (0, 1); no finite logit shift "
+        raise ValueError(f"recorded share for state {states.labels[bad]} is "
+                         f"not strictly inside (0, 1); no finite logit shift "
                          f"exists")
 
     eta = cell_estimates.eta.copy()
@@ -162,8 +162,8 @@ def calibrate_to_totals(cell_estimates: CellEstimates, recorded,
         mask = cells.state_id == s
         w = cells.n_voters[mask]
         if not w.sum() > 0:
-            raise ValueError(f"state {names[s - 1]} has zero total voter "
-                             f"weight")
+            raise ValueError(f"state {states.labels[s - 1]} has zero total "
+                             f"voter weight")
         w = w / w.sum()
         sub = eta[:, mask]  # (D, C_s)
         target = rec[s - 1]

@@ -273,10 +273,11 @@ def test_criterion_9_calibration_idempotence():
     rng = np.random.default_rng(43)
     est = CellEstimates(cells, rng.standard_normal((50, len(cells))))
     recorded = rng.uniform(0.3, 0.7, 12)
-    cal, _ = calibrate_to_totals(est, recorded)
+    states = make_state_table(12)
+    cal, _ = calibrate_to_totals(est, recorded, states)
     agg = poststratify(cal, ("state",))
     match_err = float(np.max(np.abs(agg.theta - recorded[None, :])))
-    _, deltas2 = calibrate_to_totals(cal, recorded)
+    _, deltas2 = calibrate_to_totals(cal, recorded, states)
     resid = float(np.max(np.abs(deltas2)))
     _report(9, match_err <= 1e-8 and resid < 1e-10,
             f"post-calibration mismatch {match_err:.2e}, "

@@ -221,7 +221,8 @@ def test_calibrate_fixed_point():
     est = _estimates(cells, 0.3 * rng.standard_normal((4, len(cells))))
     by_state = poststratify(est, ("state",)).theta
     rec = by_state[0]  # draw 0's aggregates as the recorded totals
-    cal, deltas = calibrate_to_totals(CellEstimates(cells, est.eta[:1]), rec)
+    cal, deltas = calibrate_to_totals(CellEstimates(cells, est.eta[:1]), rec,
+                                      make_state_table(3))
     assert np.max(np.abs(deltas)) < 1e-8
     assert np.max(np.abs(cal.eta - est.eta[:1])) < 1e-8
 
@@ -232,7 +233,8 @@ def test_calibrate_single_cell_closed_form():
     # pad to a 2-state full cross is unnecessary here: calibration only
     # needs per-state cell groups
     est = _estimates(cells, np.zeros((1, 3)))
-    cal, deltas = calibrate_to_totals(est, np.array([0.75, 0.5]))
+    cal, deltas = calibrate_to_totals(est, np.array([0.75, 0.5]),
+                                      make_state_table(2))
     assert abs(deltas[0, 0] - logit(0.75)) < 1e-10
     assert abs(deltas[0, 0] - 1.0986) < 1e-4
     assert abs(deltas[0, 1]) < 1e-10
@@ -245,7 +247,8 @@ def test_calibrate_matches_grid_oracle():
                       rng.uniform(100, 1000, 10), np.ones(10))
     eta = rng.standard_normal((3, 10))
     est = _estimates(cells, eta)
-    cal, deltas = calibrate_to_totals(est, np.array([0.6, 0.6]))
+    cal, deltas = calibrate_to_totals(est, np.array([0.6, 0.6]),
+                                      make_state_table(2))
     agg = poststratify(cal, ("state",))
     assert np.max(np.abs(agg.theta - 0.6)) < 1e-8
 
@@ -263,7 +266,8 @@ def test_calibrate_brackets_an_overshooting_newton_step():
     # and the next point is the midpoint of the closed bracket
     cells = CellTable([1, 1, 2], [1, 2, 1], [0] * 3, [1.0] * 3, [1.0] * 3)
     est = _estimates(cells, [[-30.0, 30.0, 0.0]])
-    cal, deltas = calibrate_to_totals(est, np.array([0.3, 0.5]))
+    cal, deltas = calibrate_to_totals(est, np.array([0.3, 0.5]),
+                                      make_state_table(2))
     assert abs(poststratify(cal, ("state",)).theta[0, 0] - 0.3) < 1e-10
     # the cell at -30 + delta adds below 1e-25: expit(30 + delta) = 0.6
     assert abs(deltas[0, 0] - (logit(0.6) - 30.0)) < 1e-10
@@ -274,18 +278,17 @@ def test_calibrate_idempotent():
     cells = make_cell_table(6, seed=11)
     est = _estimates(cells, rng.standard_normal((8, len(cells))))
     rec = rng.uniform(0.3, 0.7, 6)
-    cal, _ = calibrate_to_totals(est, rec)
-    cal2, deltas2 = calibrate_to_totals(cal, rec)
+    states = make_state_table(6)
+    cal, _ = calibrate_to_totals(est, rec, states)
+    cal2, deltas2 = calibrate_to_totals(cal, rec, states)
     assert np.max(np.abs(deltas2)) < 1e-10
 
 
 def test_calibrate_rejects_degenerate_share():
     cells = make_cell_table(2)
     est = _estimates(cells, np.zeros((1, len(cells))))
-    with pytest.raises(ValueError, match="state 1 is not strictly"):
-        calibrate_to_totals(est, np.array([1.0, 0.5]))
-    with pytest.raises(ValueError, match="state S02 is not strictly"):
-        calibrate_to_totals(est, np.array([0.5, 0.0]), make_state_table(2))
+    with pytest.raises(ValueError, match="state S01 is not strictly"):
+        calibrate_to_totals(est, np.array([1.0, 0.5]), make_state_table(2))
 
 
 def test_calibrate_refuses_a_state_without_voters():
@@ -294,9 +297,6 @@ def test_calibrate_refuses_a_state_without_voters():
     cells = CellTable([1, 1, 2, 2], [1, 2, 1, 2], [0] * 4,
                       [10.0, 10.0, 0.0, 0.0], [0.5] * 4)
     est = _estimates(cells, np.zeros((2, 4)))
-    with pytest.raises(ValueError, match="state 2 has zero total voter "
-                                         "weight"):
-        calibrate_to_totals(est, np.array([0.4, 0.6]))
     with pytest.raises(ValueError, match="state S02 has zero total voter "
                                          "weight"):
         calibrate_to_totals(est, np.array([0.4, 0.6]), make_state_table(2))
