@@ -4,12 +4,16 @@ a git revision.
     python3 checks/identity.py --against REF   # the working tree against REF
     python3 checks/identity.py --run DIR       # write the corpus into DIR
 
-``--against`` checks REF out with ``git worktree`` into a temporary
+``--against`` exports REF with ``git archive`` into a temporary
 directory, writes the corpus (``write_corpus``) with the working tree's
 ``src`` and with REF's, and prints each file's sha256 match, with the
 largest absolute difference of a ``.bin`` draws file that differs; it exits
-1 if any file differs. Hashes depend on the host's numpy and BLAS, so
-compare two trees on one host only. Not part of the test suite.
+1 if any file differs. The corpus runs on both trees, so it may call only
+API that both trees share: the CLI, ``write_scenario_files``,
+``load_dataset``, ``load_states``, ``LogDensityModel``, ``sample_mcmc``,
+``save_draws``, ``write_json`` and ``run_sbc``. Hashes depend on the
+host's numpy and BLAS, so compare two trees on one host only. Not part of
+the test suite.
 """
 
 from __future__ import annotations
@@ -47,15 +51,15 @@ def write_corpus(out) -> None:
     writes; the report-300k world fitted 4 x (200 + 1000); ``run_sbc``
     ranks on criterion 4's world (seed 1000, 10 replications); and
     2 x (150 + 150) fits for M1/M2/M3 x weak/uniform x init map/diffuse,
-    with and without ethnicity. Every path in a config is relative."""
+    with and without ethnicity, of worlds written by
+    ``write_scenario_files`` and read by ``load_dataset``. Every path in a
+    config is relative."""
     from mrpkit import cli
-    from mrpkit.data import load_states
+    from mrpkit.data import load_dataset, load_states
     from mrpkit.model import LogDensityModel, PriorConfig
     from mrpkit.samplers import sample_mcmc, save_draws, write_json
     from mrpkit.sbc import run_sbc
-    from mrpkit.synthetic import (Scenario, draw_truth, make_cells,
-                                  make_states, simulate_poll,
-                                  write_scenario_files)
+    from mrpkit.synthetic import Scenario, write_scenario_files
     os.makedirs(out, exist_ok=True)
     os.chdir(out)
     _ini("sim.ini", {"scenario": {"kind": "redblue", "S": 50, "n": 30000,
@@ -102,19 +106,19 @@ def write_corpus(out) -> None:
         f.writelines(",".join(map(str, row)) + "\n" for row in ranks)
 
     os.makedirs("fits", exist_ok=True)
-    for rung, eth, prior, init in itertools.product(
-            ("M1", "M2", "M3"), (False, True), ("weak", "uniform"),
-            ("map", "diffuse")):
+    for rung, eth in itertools.product(("M1", "M2", "M3"), (False, True)):
         sc = Scenario(S=8, rung=rung, n=3000, seed=5, use_ethnicity=eth)
-        states = make_states(sc)
-        cells = make_cells(sc, states)
-        ds = simulate_poll(draw_truth(sc, states, cells), sc, states, cells)
-        draws = sample_mcmc(LogDensityModel(ds, sc.spec, PriorConfig(prior)),
-                            chains=2, warmup=150, iters=150, seed=4,
-                            init=init)
-        name = f"fits/{rung}-{'eth' if eth else 'plain'}-{prior}-{init}"
-        save_draws(draws, name + ".bin", name + ".json")
-        write_json(name + "_diagnostics.json", draws.diagnostics)
+        world = write_scenario_files(sc, f"worlds/{rung}-{eth}")
+        ds = load_dataset(world["survey"], world["cells"], world["states"],
+                          sc.spec)
+        for prior, init in itertools.product(("weak", "uniform"),
+                                             ("map", "diffuse")):
+            draws = sample_mcmc(
+                LogDensityModel(ds, sc.spec, PriorConfig(prior)), chains=2,
+                warmup=150, iters=150, seed=4, init=init)
+            name = f"fits/{rung}-{'eth' if eth else 'plain'}-{prior}-{init}"
+            save_draws(draws, name + ".bin", name + ".json")
+            write_json(name + "_diagnostics.json", draws.diagnostics)
 
 
 def _hashes(top) -> dict:
@@ -138,18 +142,16 @@ def _max_abs_diff(tmp, name) -> str:
 def compare(ref) -> int:
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
         tree = os.path.join(tmp, "tree")
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
-                        "--quiet", tree, ref], check=True)
-        try:
-            for label, src in (("here", ROOT), ("ref", tree)):
-                subprocess.run(
-                    [sys.executable, os.path.abspath(__file__), "--run",
-                     os.path.join(tmp, label)], check=True,
-                    env=dict(os.environ, PYTHONPATH=os.path.join(src, "src")),
-                    stdout=subprocess.DEVNULL)
-        finally:
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove",
-                            "--force", tree], check=False)
+        os.makedirs(tree)
+        archive = subprocess.run(["git", "-C", ROOT, "archive", ref, "src"],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        for label, src in (("here", ROOT), ("ref", tree)):
+            subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--run",
+                 os.path.join(tmp, label)], check=True,
+                env=dict(os.environ, PYTHONPATH=os.path.join(src, "src")),
+                stdout=subprocess.DEVNULL)
         here, there = (_hashes(os.path.join(tmp, d)) for d in ("here", "ref"))
         names = sorted(set(here) | set(there))
         differ = 0

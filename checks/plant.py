@@ -80,8 +80,8 @@ CATALOGUE = (
         "a trajectory whose energy error is NaN counts as accepted with "
         "probability 1, so the step-size search doubles past it"),
     Bug("region-shift", "src/mrpkit/poststrat.py",
-        "cols.append(states.region_id[cells.state_id - 1])",
-        "cols.append(states.region_id[cells.state_id - 2])",
+        "cols.append(cells.states.region_id[cells.state_id - 1])",
+        "cols.append(cells.states.region_id[cells.state_id - 2])",
         "grouping by region takes each cell's region from the state before"),
     Bug("eth-adjoint-shift", "src/mrpkit/design.py",
         "g_beta[1:] += by_eth[1:]",
@@ -108,7 +108,7 @@ CATALOGUE = (
         "var_hat = W + B / n",
         "split R-hat uses W in place of (n-1)/n W"),
     Bug("calibrate-state-index", "src/mrpkit/poststrat.py",
-        'raise ValueError(f"state {states.labels[s - 1]} has zero total "',
+        'raise ValueError(f"state {labels[s - 1]} has zero total "',
         'raise ValueError(f"state {s} has zero total "',
         "calibrate_to_totals names a refused state by its 1-based index, "
         "which no input file holds, not by its label in states.csv"),
@@ -137,6 +137,16 @@ CATALOGUE = (
         "if False:",
         "run_sbc ranks against fewer than n_rank_draws draws when iters "
         "is smaller, so the ranks stop short"),
+    Bug("sbc-no-reps", "src/mrpkit/sbc.py",
+        "if reps < 1:",
+        "if False:",
+        "run_sbc runs no replication for reps = 0 and has no ranks to "
+        "return"),
+    Bug("sbc-ranks-empty", "src/mrpkit/sbc.py",
+        "if reps == 0:",
+        "if False:",
+        "uniformity_pvalues takes an empty rank array and returns a NaN "
+        "p-value for every parameter"),
     Bug("sbc-ranks-range", "src/mrpkit/sbc.py",
         "if np.any((ranks < 0) | (ranks > n_rank_draws)):",
         "if False:",
@@ -155,6 +165,15 @@ CATALOGUE = (
         "enumerate(sorted(self.labels))}",
         "a state label maps to its place in sorted order, not to its row "
         "in states.csv"),
+    Bug("cells-ethnicity-column", "src/mrpkit/data.py",
+        'if "ethnicity" in header and not spec.use_ethnicity:',
+        "if False:",
+        "load_cells reads a cells.csv with an ethnicity column for a model "
+        "without ethnicity, and refuses it as a duplicate cell key"),
+    Bug("cells-outside-states", "src/mrpkit/data.py",
+        "if np.any((self.state_id < 1) | (self.state_id > states.n_states)):",
+        "if False:",
+        "a cell table takes cells of states that its state table lacks"),
     Bug("survey-repeats-once", "src/mrpkit/data.py",
         "rows = list(split.values())",
         "rows = [1] * len(split)",

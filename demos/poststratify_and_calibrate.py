@@ -23,14 +23,14 @@ from mrpkit.synthetic import (
 scenario = Scenario(S=8, rung="M1", n=4000, seed=5)
 states = make_states(scenario)
 cells = make_cells(scenario, states)
-truth = draw_truth(scenario, states, cells)
-dataset = simulate_poll(truth, scenario, states, cells)
+truth = draw_truth(scenario, cells)
+dataset = simulate_poll(truth, scenario, cells)
 
 model = LogDensityModel(dataset, scenario.spec)
 draws = sample_mcmc(model, chains=2, warmup=400, iters=600, seed=2)
 est = predict_cells(draws, cells)
 
-by_state = poststratify(est, ("state",), states)
+by_state = poststratify(est, ("state",))
 s = by_state.summary()
 print("state aggregates before calibration:")
 for g, key in enumerate(by_state.keys):
@@ -41,8 +41,8 @@ for g, key in enumerate(by_state.keys):
 rng = np.random.default_rng(3)
 recorded = np.clip(s["mean"] + 0.05 * rng.standard_normal(len(by_state.keys)),
                    0.05, 0.95)
-cal, deltas = calibrate_to_totals(est, recorded, states)
-cal_state = poststratify(cal, ("state",), states)
+cal, deltas = calibrate_to_totals(est, recorded)
+cal_state = poststratify(cal, ("state",))
 print("\nafter calibration (aggregate must equal the recorded share):")
 for g, key in enumerate(cal_state.keys):
     print(f"  {states.labels[key[0] - 1]}  recorded {recorded[g]:.3f}  "

@@ -27,8 +27,8 @@ from mrpkit.synthetic import (
 scenario = redblue_scenario(S=50, n=30000, seed=0)
 states = make_states(scenario)
 cells = make_cells(scenario, states)
-truth = draw_truth(scenario, states, cells)
-dataset = simulate_poll(truth, scenario, states, cells)
+truth = draw_truth(scenario, cells)
+dataset = simulate_poll(truth, scenario, cells)
 
 print(f"simulated poll: {len(dataset.survey)} respondents, "
       f"{len(cells)} cells, {states.n_states} states")

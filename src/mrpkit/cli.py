@@ -257,10 +257,9 @@ def cmd_poststratify(cfg: RunConfig, grouping: str, recorded_path=None,
                        build_layout(cfg.spec, states))
     est = predict_cells(draws, cells)
     if recorded_path:
-        rec = load_recorded(recorded_path, states)
-        est, _ = calibrate_to_totals(est, rec, states)
+        est, _ = calibrate_to_totals(est, load_recorded(recorded_path, states))
     dims = tuple(d.strip() for d in grouping.split(",")) if grouping else ()
-    agg = poststratify(est, dims, states)
+    agg = poststratify(est, dims)
     name = "_".join(dims) if dims else "national"
     out = os.path.join(cfg.outdir, f"estimates_{name}.csv")
     s = agg.summary()
@@ -291,11 +290,11 @@ def cmd_poststratify(cfg: RunConfig, grouping: str, recorded_path=None,
 def cmd_diagnose(cfg: RunConfig) -> int:
     _check_manifest(cfg, ("survey", "cells", "states"))
     dataset = load_dataset(cfg.survey, cfg.cells, cfg.states, cfg.spec)
+    cells, states = dataset.cells, dataset.cells.states
     draws = load_draws(os.path.join(cfg.outdir, "draws.bin"),
                        os.path.join(cfg.outdir, "draws.json"),
-                       build_layout(cfg.spec, dataset.states))
-    agg = poststratify(predict_cells(draws, dataset.cells),
-                       ("state", "income"), dataset.states)
+                       build_layout(cfg.spec, states))
+    agg = poststratify(predict_cells(draws, cells), ("state", "income"))
     s = agg.summary()
     # keys are the full (state, income) cross in order; a state's mean is
     # the voter-weighted mean of its income groups' means
@@ -303,8 +302,10 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     state_mean = (w * s["mean"].reshape(w.shape)).sum(axis=1) / w.sum(axis=1)
 
     # respondents and Republican votes per (state, income), over ethnicity
-    n_si, k_si = (c.reshape(dataset.states.n_states, N_INCOME, -1).sum(axis=2)
-                  for c in (dataset.survey.n, dataset.survey.k))
+    si = (cells.state_id - 1, cells.income_cat - 1)
+    n_si, k_si = np.zeros((2, states.n_states, N_INCOME), dtype=int)
+    np.add.at(n_si, si, dataset.survey.n)
+    np.add.at(k_si, si, dataset.survey.k)
 
     order = sorted(range(len(agg.keys)),
                    key=lambda g: (-state_mean[agg.keys[g][0] - 1], agg.keys[g]))
@@ -315,7 +316,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
                     "model_mean", "model_sd"])
         for g in order:
             st, inc = agg.keys[g]
-            label = dataset.states.labels[st - 1]
+            label = states.labels[st - 1]
             if cfg.exclude_ak_hi_dc and label in REPORT_EXCLUDED_STATES:
                 continue
             n, k = int(n_si[st - 1, inc - 1]), int(k_si[st - 1, inc - 1])

@@ -6,8 +6,9 @@ validate category ranges, key uniqueness, and cross completeness up front so
 downstream code can index without checks.
 The cell order lives here (``cell_position``, ``cell_cross``), as does the
 state-label map (``StateTable.label_index``). A poll is its counts per cell
-(``Survey``); only ``load_survey`` and ``write_survey`` see respondent rows;
-the writers label states as the state table does.
+(``Survey``); only ``load_survey`` and ``write_survey`` see respondent rows.
+A cell table carries the state table it crosses (``CellTable.states``),
+which every reader of state labels, regions or the state count reads.
 """
 
 from __future__ import annotations
@@ -102,12 +103,16 @@ def cell_cross(n_states: int, use_ethnicity: bool):
 
 
 class CellTable:
-    """Full cross of poststratification cells in canonical order
-    (state, income, ethnicity), with each cell's adult count, turnout rate
-    and voter count n_voters = n_adults * turnout_rate."""
+    """Full cross of poststratification cells over ``states`` in canonical
+    order (state, income, ethnicity), with each cell's adult count, turnout
+    rate and voter count n_voters = n_adults * turnout_rate."""
 
-    def __init__(self, state_id, income_cat, ethnicity, n_adults, turnout_rate):
+    def __init__(self, states: StateTable, state_id, income_cat, ethnicity,
+                 n_adults, turnout_rate):
+        self.states = states
         self.state_id = np.asarray(state_id, dtype=int)
+        if np.any((self.state_id < 1) | (self.state_id > states.n_states)):
+            raise DataError(f"cell state ids outside 1..{states.n_states}")
         self.income_cat = np.asarray(income_cat, dtype=int)
         self.ethnicity = np.asarray(ethnicity, dtype=int)
         self.n_adults = np.asarray(n_adults, dtype=float)
@@ -121,18 +126,13 @@ class CellTable:
     def use_ethnicity(self) -> bool:
         return bool(self.ethnicity.max() > 0)
 
-    @property
-    def n_states(self) -> int:
-        return int(self.state_id.max())
-
 
 @dataclass
 class Dataset:
-    """Everything needed to fit one model: responses, cells, state predictors."""
+    """Everything needed to fit one model: responses, cells, their states."""
 
     survey: Survey
     cells: CellTable
-    states: StateTable
 
     def __post_init__(self):
         n, k, C = self.survey.n, self.survey.k, len(self.cells)
@@ -233,12 +233,10 @@ def _parse_float(value: str, row_num: int, col: str, path) -> float:
     return v
 
 
-def _state_index(value: str, states: StateTable | None, row_num: int, path) -> int:
-    if states is not None:
-        if value not in states.label_index:
-            raise DataError(f"{path}: row {row_num}: unknown state label {value!r}")
-        return states.label_index[value]
-    return _parse_int(value, row_num, "state", 1, 10 ** 6, path)
+def _state_index(value: str, states: StateTable, row_num: int, path) -> int:
+    if value not in states.label_index:
+        raise DataError(f"{path}: row {row_num}: unknown state label {value!r}")
+    return states.label_index[value]
 
 
 def load_states(path) -> StateTable:
@@ -282,9 +280,9 @@ def load_states(path) -> StateTable:
 _PROBE_LINES = 8192  # first survey lines whose repeats decide whether to count lines
 
 
-def load_survey(path, spec, states: StateTable | None = None) -> Survey:
+def load_survey(path, spec, states: StateTable) -> Survey:
     """Read survey.csv (state,income[,ethnicity],vote) as counts per cell
-    over ``states`` (without one, over states 1..the largest index read).
+    over the cross of ``states``.
 
     Rows with an empty vote field (no stated preference) are dropped and
     counted; a warning reports the count. Any other malformed field is an
@@ -369,8 +367,7 @@ def load_survey(path, spec, states: StateTable | None = None) -> Survey:
     kept = np.array([p is not None for p in parsed], dtype=bool)
     table = np.array([p for p in parsed if p], dtype=int).reshape(-1, 4)
     weight = each[kept]
-    n_states = states.n_states if states else int(table[:, 0].max(initial=0))
-    C = n_states * N_INCOME * (N_ETH if spec.use_ethnicity else 1)
+    C = states.n_states * N_INCOME * (N_ETH if spec.use_ethnicity else 1)
     pos = cell_position(*table[:, :3].T, spec.use_ethnicity)
     n = np.bincount(pos, weight, minlength=C).astype(int)
     k = np.bincount(pos, weight * table[:, 3], minlength=C).astype(int)
@@ -382,18 +379,20 @@ def load_survey(path, spec, states: StateTable | None = None) -> Survey:
     return Survey(n, k, n_dropped=n_dropped)
 
 
-def load_cells(path, spec, states: StateTable | None = None) -> CellTable:
+def load_cells(path, spec, states: StateTable) -> CellTable:
     """Read cells.csv; either n_voters directly or (n_adults, turnout_rate).
 
-    The table must contain exactly the full cross of declared categories;
-    missing or duplicate keys are errors.
+    The table must contain exactly the full cross of ``states`` and the
+    declared categories; missing or duplicate keys are errors, as is an
+    ethnicity column for a model without ethnicity.
     """
     header, rows = _read_rows(path)
     c_state = _col(header, "state", path)
     c_income = _col(header, "income", path)
-    c_eth = header.index("ethnicity") if "ethnicity" in header else None
-    if spec.use_ethnicity and c_eth is None:
-        raise DataError(f"{path}: model uses ethnicity but column is missing")
+    if "ethnicity" in header and not spec.use_ethnicity:
+        raise DataError(f"{path}: has an 'ethnicity' column, but the model "
+                        f"has no ethnicity: its cells are (state, income)")
+    c_eth = _col(header, "ethnicity", path) if spec.use_ethnicity else None
     direct = "n_voters" in header
     if direct:
         c_nv = header.index("n_voters")
@@ -406,7 +405,7 @@ def load_cells(path, spec, states: StateTable | None = None) -> CellTable:
         s = _state_index(row[c_state].strip(), states, r, path)
         i = _parse_int(row[c_income], r, "income", 1, N_INCOME, path)
         e = (_parse_int(row[c_eth], r, "ethnicity", 1, N_ETH, path)
-             if (spec.use_ethnicity and c_eth is not None) else 0)
+             if c_eth is not None else 0)
         if direct:
             nv = _parse_float(row[c_nv], r, "n_voters", path)
             if nv < 0:
@@ -425,14 +424,13 @@ def load_cells(path, spec, states: StateTable | None = None) -> CellTable:
 
     # parsed keys lie inside the cross: find repeats and gaps by position
     keys = np.array(keys, dtype=int).reshape(-1, 3)
-    n_states = states.n_states if states is not None else keys[:, 0].max()
     pos = cell_position(*keys.T, spec.use_ethnicity)
     first = np.unique(pos, return_index=True)[1]
     if len(first) < len(pos):
         j = np.setdiff1d(np.arange(len(pos)), first)[0]
         raise DataError(f"{path}: row {j + 2}: duplicate cell key "
                         f"{tuple(keys[j].tolist())}")
-    cross = cell_cross(n_states, spec.use_ethnicity)
+    cross = cell_cross(states.n_states, spec.use_ethnicity)
     missing = np.setdiff1d(np.arange(len(cross[0])), pos)
     if len(missing):
         shown = ", ".join(f"(state={s}, income={i})" if e == 0
@@ -441,7 +439,7 @@ def load_cells(path, spec, states: StateTable | None = None) -> CellTable:
         more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
         raise DataError(f"{path}: missing cells: {shown}{more}")
     na, tr = np.array(vals).reshape(-1, 2)[np.argsort(pos)].T.copy()
-    return CellTable(*cross, na, tr)
+    return CellTable(states, *cross, na, tr)
 
 
 def load_recorded(path, states: StateTable) -> np.ndarray:
@@ -464,19 +462,19 @@ def load_dataset(survey_path, cells_path, states_path, spec) -> Dataset:
     states = load_states(states_path)
     survey = load_survey(survey_path, spec, states)
     cells = load_cells(cells_path, spec, states)
-    return Dataset(survey, cells, states)
+    return Dataset(survey, cells)
 
 
 # ---------------------------------------------------------------------------
 # writers (round-trip support and synthetic-data output)
 
-def key_columns(table: CellTable, states: StateTable):
+def key_columns(table: CellTable):
     """Header and columns of a cell table's keys: state label, income and,
     if the table has it, ethnicity. Each label is one shared string; each
     code a cached small int."""
     use_ethnicity = table.use_ethnicity
     header = ["state", "income"] + (["ethnicity"] if use_ethnicity else [])
-    cols = [np.array(states.labels, dtype=object)[table.state_id - 1],
+    cols = [np.array(table.states.labels, dtype=object)[table.state_id - 1],
             table.income_cat.tolist()]
     if use_ethnicity:
         cols.append(table.ethnicity.tolist())
@@ -501,7 +499,7 @@ def write_survey(dataset: Dataset, path) -> None:
     order, each cell's Republican votes first. Each cell's two rows are
     formatted once and written k and n - k times."""
     cells, n, k = dataset.cells, dataset.survey.n, dataset.survey.k
-    header, cols = key_columns(cells, dataset.states)
+    header, cols = key_columns(cells)
     lines = []
     w = csv.writer(SimpleNamespace(write=lines.append))  # a line per row
     w.writerow(header + ["vote"])
@@ -511,7 +509,7 @@ def write_survey(dataset: Dataset, path) -> None:
         f.writelines(map(operator.mul, lines, repeats))
 
 
-def write_cells(cells: CellTable, path, states: StateTable) -> None:
-    header, cols = key_columns(cells, states)
+def write_cells(cells: CellTable, path) -> None:
+    header, cols = key_columns(cells)
     write_csv(path, header + ["n_adults", "turnout_rate"],
               cols + [cells.n_adults.tolist(), cells.turnout_rate.tolist()])

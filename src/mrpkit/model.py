@@ -117,12 +117,12 @@ class LogDensityModel:
                  prior: PriorConfig | None = None):
         self.spec = spec
         self.prior = prior or PriorConfig()
-        self.layout = build_layout(spec, dataset.states)
-        self.W = predictor_matrix(dataset.states, spec)
+        cells = dataset.cells
+        self.layout = build_layout(spec, cells.states)
+        self.W = predictor_matrix(cells.states, spec)
 
         self.n_c = dataset.survey.n.astype(float)
         self.k_c = dataset.survey.k.astype(float)
-        cells = dataset.cells
         self._idx = unit_index(self.layout, cells.state_id, cells.income_cat,
                                cells.ethnicity)
 

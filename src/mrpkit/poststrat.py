@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mrpkit.data import N_INCOME, CellTable, StateTable
+from mrpkit.data import N_INCOME, CellTable
 from mrpkit.design import eta_cells, expit, income_code, logit
 from mrpkit.samplers import PosteriorDraws
 
@@ -76,7 +76,7 @@ def predict_cells(draws: PosteriorDraws, cells: CellTable) -> CellEstimates:
                                           cells.ethnicity))
 
 
-def _group_labels(cells: CellTable, dims, states: StateTable | None):
+def _group_labels(cells: CellTable, dims):
     """(C, len(dims)) array of each cell's value in each grouping dimension."""
     cols = []
     for dim in dims:
@@ -90,16 +90,14 @@ def _group_labels(cells: CellTable, dims, states: StateTable | None):
                                  "of the model cross")
             cols.append(cells.ethnicity)
         elif dim == "region":
-            if states is None:
-                raise ValueError("grouping by region requires the state table")
-            cols.append(states.region_id[cells.state_id - 1])
+            cols.append(cells.states.region_id[cells.state_id - 1])
         else:
             raise ValueError(f"unknown grouping dimension {dim!r}")
     return np.array(cols, dtype=int).reshape(len(cols), len(cells)).T
 
 
-def poststratify(cell_estimates: CellEstimates, grouping=(),
-                 states: StateTable | None = None) -> AggregateEstimates:
+def poststratify(cell_estimates: CellEstimates,
+                 grouping=()) -> AggregateEstimates:
     """N-weighted average of cell probabilities within each group, per draw.
 
     ``grouping`` is a sequence of dimension names out of
@@ -108,7 +106,7 @@ def poststratify(cell_estimates: CellEstimates, grouping=(),
     """
     cells = cell_estimates.cells
     dims = tuple(grouping)
-    keys, gidx = np.unique(_group_labels(cells, dims, states), axis=0,
+    keys, gidx = np.unique(_group_labels(cells, dims), axis=0,
                            return_inverse=True)
     keys = [tuple(k) for k in keys.tolist()]
     G = len(keys)
@@ -118,8 +116,8 @@ def poststratify(cell_estimates: CellEstimates, grouping=(),
     zero = np.flatnonzero(weight == 0)
     if len(zero):
         key = dict(zip(dims, keys[zero[0]]))
-        if "state" in key and states is not None:
-            key["state"] = states.labels[key["state"] - 1]
+        if "state" in key:
+            key["state"] = cells.states.labels[key["state"] - 1]
         raise ValueError(f"group {key} has zero total voter weight")
 
     # every group has a cell, so the segment starts rise strictly
@@ -133,25 +131,25 @@ def poststratify(cell_estimates: CellEstimates, grouping=(),
     return AggregateEstimates(dims, keys, num / weight, weight)
 
 
-def calibrate_to_totals(cell_estimates: CellEstimates, recorded,
-                        states: StateTable):
+def calibrate_to_totals(cell_estimates: CellEstimates, recorded):
     """Shift each state's cell linear predictors so the state aggregate
     matches its recorded two-party Republican share, separately per draw.
 
     ``recorded`` is an array of shares indexed by state (as ``load_recorded``
     returns), each strictly inside (0, 1); a state with zero total voter
     weight has no share to match and is refused, named by its label in
-    ``states``. Returns (calibrated CellEstimates, deltas of shape (D, S)).
+    ``cells.states``. Returns (calibrated CellEstimates, deltas (D, S)).
     """
     cells = cell_estimates.cells
-    S = cells.n_states
+    labels = cells.states.labels
+    S = len(labels)
     rec = np.asarray(recorded, dtype=float)
     if len(rec) != S:
         raise ValueError(f"recorded totals cover {len(rec)} states, "
                          f"expected {S}")
     if np.any((rec <= 0.0) | (rec >= 1.0)):
         bad = int(np.argmax((rec <= 0.0) | (rec >= 1.0)))
-        raise ValueError(f"recorded share for state {states.labels[bad]} is "
+        raise ValueError(f"recorded share for state {labels[bad]} is "
                          f"not strictly inside (0, 1); no finite logit shift "
                          f"exists")
 
@@ -162,7 +160,7 @@ def calibrate_to_totals(cell_estimates: CellEstimates, recorded,
         mask = cells.state_id == s
         w = cells.n_voters[mask]
         if not w.sum() > 0:
-            raise ValueError(f"state {states.labels[s - 1]} has zero total "
+            raise ValueError(f"state {labels[s - 1]} has zero total "
                              f"voter weight")
         w = w / w.sum()
         sub = eta[:, mask]  # (D, C_s)
@@ -198,7 +196,7 @@ def state_income_slopes(cell_estimates: CellEstimates) -> dict:
     """
     agg = poststratify(cell_estimates, ("state", "income"))
     # keys are the full (state, income) cross in sorted order
-    S = cell_estimates.cells.n_states
+    S = cell_estimates.cells.states.n_states
     curve = agg.theta.reshape(-1, S, N_INCOME)  # (D, S, I)
 
     gap = curve[:, :, N_INCOME - 1] - curve[:, :, 0]  # (D, S)

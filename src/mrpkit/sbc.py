@@ -60,40 +60,42 @@ def draw_from_prior(scenario: Scenario, prior: PriorConfig, states, rng):
     return params
 
 
-def _simulate_fixed_design(truth, scenario, states, cells, rng) -> Dataset:
-    """One replication's poll on the fixed states and cells; the name is
-    traced by perfbench/instrument.py."""
-    return simulate_poll(truth, scenario, states, cells, rng)
+def _simulate_fixed_design(truth, scenario, cells, rng) -> Dataset:
+    """One replication's poll on the fixed cells; the name is traced by
+    perfbench/instrument.py."""
+    return simulate_poll(truth, scenario, cells, rng)
 
 
 def run_sbc(scenario: Scenario, reps=200, n_rank_draws=19,
             warmup=300, iters=400, seed=0,
             prior: PriorConfig | None = None):
-    """Rank statistics over ``reps`` replications; returns (ranks, layout)
-    with ranks of shape (reps, P), each rank in 0..n_rank_draws, which
-    needs ``iters`` >= ``n_rank_draws``. Progress is logged at INFO on the
+    """Rank statistics over ``reps`` >= 1 replications; returns (ranks,
+    layout) with ranks of shape (reps, P), each rank in 0..n_rank_draws,
+    which needs ``iters`` >= ``n_rank_draws``, and the layout that the
+    replications' models carry. Progress is logged at INFO on the
     ``mrpkit.sbc`` logger every 20 replications."""
+    if reps < 1:
+        raise ValueError(f"reps {reps}: SBC needs at least one replication")
     if iters < n_rank_draws:
         raise ValueError(f"iters {iters} gives fewer than n_rank_draws "
                          f"{n_rank_draws} draws to rank against")
     prior = prior or PriorConfig(coef_scale=1.0, log_scale_sd=1.0)
     states = make_states(scenario)
     cells = make_cells(scenario, states)
-    layout = build_layout(scenario.spec, states)
-    ranks = np.empty((reps, layout.n_params), dtype=int)
+    ranks = []
     for r in range(reps):
         rng = np.random.default_rng([seed, 100 + r])
         truth = draw_from_prior(scenario, prior, states, rng)
-        dataset = _simulate_fixed_design(truth, scenario, states, cells, rng)
+        dataset = _simulate_fixed_design(truth, scenario, cells, rng)
         model = LogDensityModel(dataset, scenario.spec, prior)
         draws = sample_mcmc(model, chains=1, warmup=warmup, iters=iters,
                             seed=int(rng.integers(2 ** 31)), init="diffuse")
         thin = max(1, iters // n_rank_draws)
         sub = draws.draws[thin - 1::thin][:n_rank_draws]
-        ranks[r] = np.sum(sub < truth, axis=0)
+        ranks.append(np.sum(sub < truth, axis=0))
         if (r + 1) % 20 == 0:
             log.info("sbc replication %d/%d", r + 1, reps)
-    return ranks, layout
+    return np.array(ranks), model.layout
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -120,8 +122,12 @@ def chi2_sf(x: float, df: int) -> float:
 def uniformity_pvalues(ranks, n_rank_draws=19) -> np.ndarray:
     """Chi-square goodness-of-fit p-value of the rank histogram in
     UNIFORMITY_BINS bins, per parameter. Ranks take values 0..n_rank_draws
-    (n_rank_draws+1 outcomes); ValueError for one outside them."""
+    (n_rank_draws+1 outcomes); ValueError for one outside them, or for no
+    ranks at all."""
     reps, P = ranks.shape
+    if reps == 0:
+        raise ValueError("no ranks: a uniformity test needs at least one "
+                         "replication")
     if np.any((ranks < 0) | (ranks > n_rank_draws)):
         raise ValueError(f"ranks outside 0..{n_rank_draws}")
     levels = n_rank_draws + 1

@@ -4,7 +4,8 @@ Data are drawn from the declared rung's own generative model so that
 inference on the same rung is well specified; the red/blue scenario adds a
 generator-only dependence of the state income slope on state income to
 reproduce the rich-state/poor-state slope pattern. Callers make a world's
-tables once (``make_states``, ``make_cells``) and pass them in.
+tables once (``make_states``, then ``make_cells``, whose cells carry the
+state table) and pass the cells in.
 """
 
 from __future__ import annotations
@@ -90,24 +91,25 @@ def make_states(scenario: Scenario) -> StateTable:
 
 def make_cells(scenario: Scenario, states: StateTable) -> CellTable:
     rng = _rng(scenario, 3)
-    pops = np.round(1e6 * np.exp(0.5 * rng.standard_normal(scenario.S)))
-    sid, inc, eth = cell_cross(scenario.S, scenario.use_ethnicity)
+    S = states.n_states
+    pops = np.round(1e6 * np.exp(0.5 * rng.standard_normal(S)))
+    sid, inc, eth = cell_cross(S, scenario.use_ethnicity)
     frac = np.asarray(DEFAULT_INCOME_PROFILE)[inc - 1]
     if scenario.use_ethnicity:
         frac = frac * np.asarray(DEFAULT_ETH_PROFILE)[eth - 1]
-    return CellTable(sid, inc, eth, np.round(pops[sid - 1] * frac),
+    return CellTable(states, sid, inc, eth, np.round(pops[sid - 1] * frac),
                      np.asarray(DEFAULT_TURNOUT)[inc - 1])
 
 
-def draw_truth(scenario: Scenario, states: StateTable,
-               cells: CellTable) -> np.ndarray:
+def draw_truth(scenario: Scenario, cells: CellTable) -> np.ndarray:
     """True parameter vector in the scenario rung's layout; deterministic
     per (scenario, seed)."""
     spec = scenario.spec
+    states = cells.states
     layout = build_layout(spec, states)
     W = predictor_matrix(states, spec)
     rng = _rng(scenario, 1)
-    S = scenario.S
+    S = states.n_states
 
     gamma = np.zeros(W.shape[1]) if scenario.gamma is None \
         else np.asarray(scenario.gamma, dtype=float)
@@ -178,24 +180,23 @@ def _scale_slopes_to_gap(params, layout, cells, target, tol=1e-8):
     return with_scale(0.5 * (lo + hi))
 
 
-def true_cell_theta(truth, scenario: Scenario, states: StateTable,
-                    cells: CellTable) -> np.ndarray:
-    layout = build_layout(scenario.spec, states)
+def true_cell_theta(truth, scenario: Scenario, cells: CellTable) -> np.ndarray:
+    layout = build_layout(scenario.spec, cells.states)
     return expit(eta_cells(truth, layout, cells.state_id, cells.income_cat,
                            cells.ethnicity))
 
 
-def simulate_poll(truth, scenario: Scenario, states: StateTable,
-                  cells: CellTable, rng=None) -> Dataset:
+def simulate_poll(truth, scenario: Scenario, cells: CellTable,
+                  rng=None) -> Dataset:
     """Respondents allocated to cells in proportion to adult population,
     votes flipped at the cell probability; the poll is those two counts per
     cell. ``rng`` defaults to the scenario's own poll stream."""
-    theta = true_cell_theta(truth, scenario, states, cells)
+    theta = true_cell_theta(truth, scenario, cells)
     rng = rng if rng is not None else _rng(scenario, 2)
 
     counts = rng.multinomial(scenario.n, cells.n_adults / cells.n_adults.sum())
     yes = rng.binomial(counts, theta)
-    return Dataset(Survey(counts, yes), cells, states)
+    return Dataset(Survey(counts, yes), cells)
 
 
 def redblue_scenario(S=50, n=30000, seed=0) -> Scenario:
@@ -221,16 +222,16 @@ def write_scenario_files(scenario: Scenario, outdir) -> dict:
     os.makedirs(outdir, exist_ok=True)
     states = make_states(scenario)
     cells = make_cells(scenario, states)
-    truth = draw_truth(scenario, states, cells)
-    dataset = simulate_poll(truth, scenario, states, cells)
-    theta = true_cell_theta(truth, scenario, states, cells)
+    truth = draw_truth(scenario, cells)
+    dataset = simulate_poll(truth, scenario, cells)
+    theta = true_cell_theta(truth, scenario, cells)
 
     paths = {k: os.path.join(outdir, f"{k}.csv")
              for k in ("survey", "cells", "states", "truth")}
     write_states(states, paths["states"])
     write_survey(dataset, paths["survey"])
-    write_cells(cells, paths["cells"], states)
-    header, cols = key_columns(cells, states)
+    write_cells(cells, paths["cells"])
+    header, cols = key_columns(cells)
     write_csv(paths["truth"], header + ["theta"], cols + [theta.tolist()],
               lineterminator="\n")
     return paths

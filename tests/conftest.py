@@ -17,13 +17,16 @@ def make_state_table(S, n_regions=2, seed=0):
     return StateTable(labels, inc, share, region)
 
 
-def make_cell_table(S, use_ethnicity=False, seed=0):
+def make_cell_table(S, use_ethnicity=False, seed=0, states=None):
+    """Full cross of random cells over ``states`` (default:
+    ``make_state_table(S)``)."""
     rng = np.random.default_rng(seed)
     sid, inc, eth = cell_cross(S, use_ethnicity)
     n = len(sid)
     n_adults = np.round(1000 + 9000 * rng.random(n))
     turnout = 0.4 + 0.4 * rng.random(n)
-    return CellTable(sid, inc, eth, n_adults, turnout)
+    states = states if states is not None else make_state_table(S)
+    return CellTable(states, sid, inc, eth, n_adults, turnout)
 
 
 def survey_from_rows(cells, state_id, income_cat, ethnicity, vote):
@@ -50,10 +53,8 @@ def make_survey(S, n, cells=None, theta=0.5, seed=0):
 @pytest.fixture
 def small_dataset():
     S = 4
-    states = make_state_table(S)
-    cells = make_cell_table(S)
     survey = make_survey(S, 400)
-    return Dataset(survey, cells, states)
+    return Dataset(survey, make_cell_table(S))
 
 
 @pytest.fixture

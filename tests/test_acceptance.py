@@ -29,7 +29,7 @@ from mrpkit.synthetic import (
     true_cell_theta,
 )
 
-from conftest import make_cell_table, make_state_table, survey_from_rows
+from conftest import make_cell_table, survey_from_rows
 
 
 def _report(num, ok, detail):
@@ -48,8 +48,8 @@ def test_criterion_1_gradient_correctness():
         sc = Scenario(S=5, rung=rung, n=400, seed=17)
         states = make_states(sc)
         cells = make_cells(sc, states)
-        truth = draw_truth(sc, states, cells)
-        ds = simulate_poll(truth, sc, states, cells)
+        truth = draw_truth(sc, cells)
+        ds = simulate_poll(truth, sc, cells)
         model = LogDensityModel(ds, sc.spec)
         rng = np.random.default_rng(23)
         for _ in range(20):
@@ -104,8 +104,8 @@ def test_criterion_3_grid_quadrature_oracle():
               (2, 1): (60, 27), (2, 5): (60, 42)}
     states = StateTable(["A", "B"], np.array([-1.0, 1.0]),
                         np.array([0.5, 0.5]), np.array([1, 1]))
-    cells = CellTable([1] * 5 + [2] * 5, list(range(1, 6)) * 2, [0] * 10,
-                      np.full(10, 1000.0), np.full(10, 0.6))
+    cells = CellTable(states, [1] * 5 + [2] * 5, list(range(1, 6)) * 2,
+                      [0] * 10, np.full(10, 1000.0), np.full(10, 0.6))
     sid, inc, vote = [], [], []
     for (s, i), (n, k) in counts.items():
         sid += [s] * n
@@ -118,7 +118,7 @@ def test_criterion_3_grid_quadrature_oracle():
     # target and longer trajectories are needed for the scale and mean
     # hyperparameters to mix
     prior = PriorConfig("weak", coef_scale=2.5, log_scale_sd=0.5)
-    model = LogDensityModel(Dataset(sv, cells, states), spec, prior)
+    model = LogDensityModel(Dataset(sv, cells), spec, prior)
     assert model.n_params == 5
 
     mcmc = sample_mcmc(model, chains=4, warmup=1200, iters=8000, seed=41,
@@ -206,8 +206,8 @@ def redblue_reps():
         sc = redblue_scenario(S=50, n=30000, seed=r)
         states = make_states(sc)
         cells = make_cells(sc, states)
-        truth = draw_truth(sc, states, cells)
-        ds = simulate_poll(truth, sc, states, cells)
+        truth = draw_truth(sc, cells)
+        ds = simulate_poll(truth, sc, cells)
         layout = build_layout(sc.spec, states)
         model = LogDensityModel(ds, sc.spec)
         draws = sample_mcmc(model, chains=2, warmup=300, iters=500,
@@ -218,7 +218,7 @@ def redblue_reps():
         true_slope = truth[layout.sl("beta")][0] + truth[layout.sl("slope")]
         est_slope = (draws.draws[:, layout.sl("beta").start]
                      + draws.draws[:, layout.sl("slope")].T).mean(axis=1)
-        tt = true_cell_theta(truth, sc, states, cells)
+        tt = true_cell_theta(truth, sc, cells)
         lo = np.quantile(theta, 0.05, axis=0)
         hi = np.quantile(theta, 0.95, axis=0)
         reps.append({
@@ -273,11 +273,10 @@ def test_criterion_9_calibration_idempotence():
     rng = np.random.default_rng(43)
     est = CellEstimates(cells, rng.standard_normal((50, len(cells))))
     recorded = rng.uniform(0.3, 0.7, 12)
-    states = make_state_table(12)
-    cal, _ = calibrate_to_totals(est, recorded, states)
+    cal, _ = calibrate_to_totals(est, recorded)
     agg = poststratify(cal, ("state",))
     match_err = float(np.max(np.abs(agg.theta - recorded[None, :])))
-    _, deltas2 = calibrate_to_totals(cal, recorded, states)
+    _, deltas2 = calibrate_to_totals(cal, recorded)
     resid = float(np.max(np.abs(deltas2)))
     _report(9, match_err <= 1e-8 and resid < 1e-10,
             f"post-calibration mismatch {match_err:.2e}, "
@@ -293,7 +292,7 @@ def test_criterion_10_partial_pooling():
     S = 10
     states = StateTable([f"S{i:02d}" for i in range(S)], np.zeros(S),
                         np.full(S, 0.5), np.ones(S, dtype=int))
-    cells = make_cell_table(S, seed=47)
+    cells = make_cell_table(S, seed=47, states=states)
     sid, vote = [], []
     for s in range(1, 9):              # eight balanced big states
         sid += [s] * 400
@@ -305,7 +304,7 @@ def test_criterion_10_partial_pooling():
     inc = [3] * len(sid)
     sv = survey_from_rows(cells, sid, inc, np.zeros(len(sid), dtype=int),
                           vote)
-    model = LogDensityModel(Dataset(sv, cells, states), ModelSpec("M1"))
+    model = LogDensityModel(Dataset(sv, cells), ModelSpec("M1"))
     draws = sample_mcmc(model, chains=2, warmup=400, iters=600, seed=53)
     lay = model.layout
 

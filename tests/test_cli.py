@@ -438,6 +438,20 @@ def test_fit_short_row_names_file_and_row(tmp_path, capsys, name, row, line):
     assert not outdir.exists()
 
 
+def test_fit_refuses_cells_with_ethnicity_for_a_model_without(tmp_path,
+                                                              capsys):
+    # an ethnicity world's cells repeat each (state, income) key once per
+    # ethnicity; the refusal names the file and the column, not a repeat
+    datadir = tmp_path / "sim"
+    write_scenario_files(Scenario(S=3, n=300, use_ethnicity=True), datadir)
+    outdir = tmp_path / "run"
+    assert main(["fit", "--config", _fit_config(tmp_path, datadir,
+                                                outdir)]) == 2
+    assert f"{datadir}/cells.csv: has an 'ethnicity' column" \
+        in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_fit_refuses_a_region_without_states(tmp_path, capsys):
     # regions 1, 2, 4: region 3's indicator column in W would be all zeros,
     # its coefficient held by the prior alone (or by nothing, under the

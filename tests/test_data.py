@@ -38,6 +38,12 @@ def _write(path, text):
     return str(path)
 
 
+def _numbered(S):
+    """A state table of S states labelled 1..S, for tables keyed by number."""
+    return StateTable([str(s) for s in range(1, S + 1)], np.zeros(S),
+                      np.full(S, 0.5), np.ones(S, dtype=int))
+
+
 def _brute_force_counts(rows, n_states, use_eth):
     """(n, k) per cell of respondent rows (state, income, ethnicity, vote)
     by a loop over the rows for each cell of the nested-loop cross."""
@@ -60,10 +66,9 @@ def _assert_counts(survey, rows, n_states, use_eth):
 def test_load_survey_direct_parse(tmp_path):
     p = _write(tmp_path / "survey.csv",
                "state,income,vote\n5,4,1\n5,1,0\n")
-    sv = load_survey(p, ModelSpec("M1"))
+    sv = load_survey(p, ModelSpec("M1"), _numbered(5))
     assert len(sv) == 2
     assert sv.n_dropped == 0
-    # without a state table the cross runs to the largest state read
     _assert_counts(sv, [(5, 4, 0, 1), (5, 1, 0, 0)], 5, False)
 
 
@@ -71,7 +76,7 @@ def test_load_survey_drops_empty_vote_with_warning(tmp_path):
     p = _write(tmp_path / "survey.csv",
                "state,income,vote\n1,2,1\n1,3,\n")
     with pytest.warns(UserWarning, match="dropped 1"):
-        sv = load_survey(p, ModelSpec("M1"))
+        sv = load_survey(p, ModelSpec("M1"), _numbered(1))
     assert len(sv) == 1
     assert sv.n_dropped == 1
 
@@ -80,7 +85,7 @@ def test_load_survey_bad_income_names_row(tmp_path):
     p = _write(tmp_path / "survey.csv",
                "state,income,vote\n1,2,1\n1,6,0\n")
     with pytest.raises(DataError, match="row 3"):
-        load_survey(p, ModelSpec("M1"))
+        load_survey(p, ModelSpec("M1"), _numbered(1))
 
 
 def test_load_survey_unknown_state_label(tmp_path):
@@ -97,8 +102,8 @@ def test_load_survey_deterministic(tmp_path):
         [(1, 2, 1), (2, 5, 0), (1, 1, 1), (2, 3, 0)])
     p1 = _write(tmp_path / "a.csv", text)
     p2 = _write(tmp_path / "b.csv", text)
-    s1 = load_survey(p1, ModelSpec("M1"))
-    s2 = load_survey(p2, ModelSpec("M1"))
+    s1 = load_survey(p1, ModelSpec("M1"), _numbered(2))
+    s2 = load_survey(p2, ModelSpec("M1"), _numbered(2))
     assert np.array_equal(s1.n, s2.n) and np.array_equal(s1.k, s2.k)
 
 
@@ -113,16 +118,17 @@ def _brute_force_survey(text, states, use_eth):
             dropped += 1
             continue
         label = row[col["state"]].strip()
-        kept.append((states.label_index[label] if states else int(label),
+        kept.append((states.label_index[label],
                      int(row[col["income"]]),
                      int(row[col["ethnicity"]]) if use_eth else 0,
                      int(row[col["vote"]])))
     return np.array(kept, dtype=int).reshape(-1, 4), dropped
 
 
-@pytest.mark.parametrize("with_states", [True, False])
+@pytest.mark.parametrize("exact_labels", [True, False])
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-def test_load_survey_equals_brute_force(tmp_path, with_states, newline):
+def test_load_survey_equals_brute_force(tmp_path, exact_labels, newline):
+    # labels as in the state table, or with spaces around them
     rng = np.random.default_rng(4)
     labels = ["S01", "New York, NY", 'The "Big" One', "S 04", "#5"]
     states = StateTable(labels, np.arange(5.0), np.full(5, 0.5),
@@ -133,22 +139,19 @@ def test_load_survey_equals_brute_force(tmp_path, with_states, newline):
     w = csv.writer(buf, lineterminator=newline)
     w.writerow(["vote", "state", "ethnicity", "income"])
     for i in range(n):
-        s = (labels[sid[i] - 1] if with_states
-             else rng.choice(["{}", " {}", "+{}", "0{}", "{} "]).format(sid[i]))
+        s = (labels[sid[i] - 1] if exact_labels else rng.choice(
+            ["{}", " {}", "{} "]).format(labels[sid[i] - 1]))
         vote = rng.choice(["0", "1", "1", "", " "])
         w.writerow([vote, s, rng.integers(1, 5), f"{rng.integers(1, 6)}"])
     text = buf.getvalue()
     p = tmp_path / "survey.csv"
     p.write_bytes(text.encode("utf-8"))
-    want, dropped = _brute_force_survey(text, states if with_states else None,
-                                        True)
+    want, dropped = _brute_force_survey(text, states, True)
     assert dropped > 0
     with pytest.warns(UserWarning, match=f"dropped {dropped} row"):
-        sv = load_survey(str(p), ModelSpec("M2", use_ethnicity=True),
-                         states if with_states else None)
+        sv = load_survey(str(p), ModelSpec("M2", use_ethnicity=True), states)
     assert sv.n_dropped == dropped
-    n_states = 5 if with_states else want[:, 0].max()
-    _assert_counts(sv, want, n_states, True)
+    _assert_counts(sv, want, 5, True)
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -156,13 +159,13 @@ def test_load_survey_equals_brute_force(tmp_path, with_states, newline):
     (["1,6,1", "1,2,x"], "row 5, column 'income': value 6 outside 1..5"),
     (["1,2,1", "1,2", "9999999,2,1"], "row 6: expected 3 fields, got 2"),
     (["1,2,1", "2,2,1", "9999999,2,1", "1,2"],
-     "row 7, column 'state': value 9999999 outside 1..1000000"),
+     "row 7: unknown state label '9999999'"),
 ])
 def test_load_survey_names_first_bad_row(tmp_path, rows, message):
     p = _write(tmp_path / "survey.csv",
                "state,income,vote\n" + "1,1,1\n" * 3 + "\n".join(rows) + "\n")
     with pytest.raises(DataError) as err:
-        load_survey(p, ModelSpec("M1"))
+        load_survey(p, ModelSpec("M1"), _numbered(2))
     assert str(err.value) == f"{p}: {message}"
 
 
@@ -194,7 +197,7 @@ def test_load_survey_blank_line_is_an_error(tmp_path, text, row):
     with pytest.raises(DataError,
                        match=rf"survey.csv: row {row}: expected 3 fields, "
                              r"got 0"):
-        load_survey(str(p), ModelSpec("M1"))
+        load_survey(str(p), ModelSpec("M1"), _numbered(1))
 
 
 @pytest.mark.parametrize("text", [
@@ -205,12 +208,12 @@ def test_load_survey_refuses_what_it_cannot_split(tmp_path, text):
     p.write_bytes(text.encode())
     with pytest.raises(DataError, match="survey.csv: cannot be read one "
                                         "record per line"):
-        load_survey(str(p), ModelSpec("M1"))
+        load_survey(str(p), ModelSpec("M1"), _numbered(1))
 
 
 def test_load_survey_header_only(tmp_path):
     p = _write(tmp_path / "survey.csv", "state,income,vote\n")
-    sv = load_survey(p, ModelSpec("M1"))
+    sv = load_survey(p, ModelSpec("M1"), _numbered(1))
     assert len(sv) == 0 and sv.n_dropped == 0
 
 
@@ -232,27 +235,27 @@ def _cells_csv(S, eth=False, skip=None):
 
 def test_load_cells_250(tmp_path):
     p = _write(tmp_path / "cells.csv", _cells_csv(50))
-    cells = load_cells(p, ModelSpec("M1"))
+    cells = load_cells(p, ModelSpec("M1"), _numbered(50))
     assert len(cells) == 250
 
 
 def test_load_cells_1000_with_ethnicity(tmp_path):
     p = _write(tmp_path / "cells.csv", _cells_csv(50, eth=True))
-    cells = load_cells(p, ModelSpec("M1", use_ethnicity=True))
+    cells = load_cells(p, ModelSpec("M1", use_ethnicity=True), _numbered(50))
     assert len(cells) == 1000
 
 
 def test_load_cells_missing_cell_named(tmp_path):
     p = _write(tmp_path / "cells.csv", _cells_csv(5, skip=(3, 2)))
     with pytest.raises(DataError, match=r"state=3, income=2"):
-        load_cells(p, ModelSpec("M1"))
+        load_cells(p, ModelSpec("M1"), _numbered(5))
 
 
 def test_load_cells_duplicate_key(tmp_path):
     text = _cells_csv(2) + "2,5,1000,0.6\n"
     p = _write(tmp_path / "cells.csv", text)
     with pytest.raises(DataError, match="duplicate"):
-        load_cells(p, ModelSpec("M1"))
+        load_cells(p, ModelSpec("M1"), _numbered(2))
 
 
 def test_load_cells_duplicate_key_names_second_row(tmp_path):
@@ -261,14 +264,14 @@ def test_load_cells_duplicate_key_names_second_row(tmp_path):
     p = _write(tmp_path / "cells.csv", text)
     with pytest.raises(DataError,
                        match=r"cells.csv: row 8: duplicate cell key \(1, 2, 0\)"):
-        load_cells(p, ModelSpec("M1"))
+        load_cells(p, ModelSpec("M1"), _numbered(2))
 
 
 def test_load_cells_bad_turnout(tmp_path):
     text = _cells_csv(2).replace("2,5,1000,0.6", "2,5,1000,1.4")
     p = _write(tmp_path / "cells.csv", text)
     with pytest.raises(DataError, match="turnout_rate"):
-        load_cells(p, ModelSpec("M1"))
+        load_cells(p, ModelSpec("M1"), _numbered(2))
 
 
 def test_load_cells_direct_n_voters(tmp_path):
@@ -277,7 +280,7 @@ def test_load_cells_direct_n_voters(tmp_path):
         for i in range(1, 6):
             lines.append(f"{s},{i},{100 * s + i}")
     p = _write(tmp_path / "cells.csv", "\n".join(lines) + "\n")
-    cells = load_cells(p, ModelSpec("M1"))
+    cells = load_cells(p, ModelSpec("M1"), _numbered(2))
     assert cells.n_voters[0] == 101.0
     assert cells.n_voters[-1] == 205.0
 
@@ -289,7 +292,7 @@ def test_load_cells_rejects_non_finite(tmp_path, col, row):
     text = _cells_csv(2).replace("2,5,1000,0.6", row)
     p = _write(tmp_path / "cells.csv", text)
     with pytest.raises(DataError, match=rf"cells.csv: row 11, column '{col}'"):
-        load_cells(p, ModelSpec("M1"))
+        load_cells(p, ModelSpec("M1"), _numbered(2))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "lots"])
@@ -301,7 +304,7 @@ def test_load_cells_rejects_bad_n_voters(tmp_path, value):
     p = _write(tmp_path / "cells.csv", "\n".join(lines) + "\n")
     with pytest.raises(DataError,
                        match=r"cells.csv: row 9, column 'n_voters'"):
-        load_cells(p, ModelSpec("M1"))
+        load_cells(p, ModelSpec("M1"), _numbered(2))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +330,8 @@ def test_cell_counts_brute_force(tmp_path, use_eth):
     rows = list(zip(rng.integers(1, S + 1, n).tolist(),
                     rng.integers(1, 6, n).tolist(), eth.tolist(),
                     rng.integers(0, 2, n).tolist()))
-    states = make_state_table(S)
     cells = make_cell_table(S, use_ethnicity=use_eth)
+    states = cells.states
     p = _write(tmp_path / "survey.csv",
                "state,income,ethnicity,vote\n" + "".join(
                    f"{states.labels[s - 1]},{i},{e or ''},{v}\n"
@@ -344,7 +347,7 @@ def test_cell_counts_brute_force(tmp_path, use_eth):
 
 
 def test_cell_counts_empty_cells():
-    ds = Dataset(make_survey(2, 0), make_cell_table(2), make_state_table(2))
+    ds = Dataset(make_survey(2, 0), make_cell_table(2))
     n_c, k_c = ds.survey.n, ds.survey.k
     assert n_c.shape == k_c.shape == (10,) and n_c.sum() == k_c.sum() == 0
 
@@ -355,15 +358,22 @@ def test_dataset_refuses_counts_of_wrong_length(n_cells):
         with pytest.raises(DataError, match=rf"survey counts of shapes "
                                             rf"\({n},\) and \({k},\) do "
                                             r"not fit the 10 cells"):
-            Dataset(Survey(np.zeros(n), np.zeros(k)), make_cell_table(2),
-                    make_state_table(2))
+            Dataset(Survey(np.zeros(n), np.zeros(k)), make_cell_table(2))
 
 
 # ---------------------------------------------------------------------------
 # CellTable.n_voters
 
+def test_cell_table_refuses_states_outside_its_table():
+    # a cell of state 4 over a 3-state table has no label, region or
+    # predictors; the table is the one source of the state count
+    with pytest.raises(DataError, match=r"outside 1\.\.3"):
+        CellTable(make_state_table(3), [1, 4], [1, 1], [0, 0], [1.0, 1.0],
+                  [0.5, 0.5])
+
+
 def test_voter_weights_product():
-    cells = CellTable([1, 1, 1, 1, 1], [1, 2, 3, 4, 5],
+    cells = CellTable(make_state_table(2), [1, 1, 1, 1, 1], [1, 2, 3, 4, 5],
                       [0] * 5, [1000, 0, 500, 200, 10],
                       [0.6, 0.9, 0.5, 1.0, 0.0])
     assert cells.n_voters[0] == 600.0
@@ -383,13 +393,14 @@ def test_voter_weights_brute_force_oracle():
 # load_states and round trips
 
 def _small_table(loader, states):
-    """Text of a valid table for the three states ``states`` (the cells by
-    state index) and the function that loads it."""
+    """Text of a valid table for the three states ``states`` (the cells
+    over states labelled 1..3) and the function that loads it."""
     if loader == "survey":
         return ("state,income,vote\nS01,2,1\nS02,3,0\n",
                 lambda p: load_survey(p, ModelSpec("M1"), states))
     if loader == "cells":
-        return _cells_csv(3), lambda p: load_cells(p, ModelSpec("M1"))
+        return _cells_csv(3), lambda p: load_cells(p, ModelSpec("M1"),
+                                                   _numbered(3))
     if loader == "states":
         return ("state,avg_income,prev_rep_share,region\n"
                 "S01,1,0.5,1\nS02,2,0.5,1\n", load_states)
@@ -593,7 +604,8 @@ def test_relabelled_states_give_identical_draws(tmp_path):
             r"^S0(\d),", lambda m: f"X{7 - int(m[1])},", text, flags=re.M))
     datasets = [load_dataset(p["survey"], p["cells"], p["states"], sc.spec)
                 for p in (paths, renamed)]
-    assert datasets[1].states.labels == [f"X{i}" for i in range(6, 0, -1)]
+    assert datasets[1].cells.states.labels == [f"X{i}"
+                                               for i in range(6, 0, -1)]
     a, b = (sample_mcmc(LogDensityModel(ds, sc.spec), chains=2, warmup=60,
                         iters=40, seed=3).draws for ds in datasets)
     assert a.tobytes() == b.tobytes()
@@ -603,13 +615,13 @@ def test_round_trip_survey_and_cells(tmp_path):
     spec = ModelSpec("M1")
     states = make_state_table(3)
     rng = np.random.default_rng(5)
-    cells = make_cell_table(3, seed=5)
+    cells = make_cell_table(3, seed=5, states=states)
     sv = survey_from_rows(cells, rng.integers(1, 4, 40),
                           rng.integers(1, 6, 40), np.zeros(40, dtype=int),
                           rng.integers(0, 2, 40))
     sp, cp = tmp_path / "survey.csv", tmp_path / "cells.csv"
-    write_survey(Dataset(sv, cells, states), sp)
-    write_cells(cells, cp, states)
+    write_survey(Dataset(sv, cells), sp)
+    write_cells(cells, cp)
     sv2 = load_survey(sp, spec, states)
     cells2 = load_cells(cp, spec, states)
     assert np.array_equal(sv2.n, sv.n) and np.array_equal(sv2.k, sv.k)
@@ -623,11 +635,11 @@ def test_survey_round_trip_keeps_counts(tmp_path, world):
     sc = Scenario(S=4, rung="M2", n=3000, seed=8, use_ethnicity=True)
     states = make_states(sc)
     cells = make_cells(sc, states)
-    sv = simulate_poll(draw_truth(sc, states, cells), sc, states, cells).survey
+    sv = simulate_poll(draw_truth(sc, cells), sc, cells).survey
     if world == "no respondents":
         sv = Survey(np.zeros_like(sv.n), np.zeros_like(sv.k))
     p = tmp_path / "survey.csv"
-    write_survey(Dataset(sv, cells, states), p)
+    write_survey(Dataset(sv, cells), p)
     back = load_survey(str(p), sc.spec, states)
     assert len(back) == len(sv) and back.n_dropped == 0
     assert np.array_equal(back.n, sv.n) and np.array_equal(back.k, sv.k)
@@ -637,12 +649,12 @@ def test_write_survey_rows_in_cell_order_yes_first(tmp_path):
     # each cell's respondents are contiguous, cells in canonical order, and
     # its Republican votes come first
     states = StateTable(["B", "A"], [0.0, 1.0], [0.5, 0.5], [1, 1])
-    cells = make_cell_table(2, use_ethnicity=True)
+    cells = make_cell_table(2, use_ethnicity=True, states=states)
     rng = np.random.default_rng(3)
     n = rng.integers(0, 4, len(cells))
     k = rng.binomial(n, 0.5)
     p = tmp_path / "survey.csv"
-    write_survey(Dataset(Survey(n, k), cells, states), p)
+    write_survey(Dataset(Survey(n, k), cells), p)
     want = ["state,income,ethnicity,vote"]
     c = 0
     for s in ("B", "A"):
@@ -661,7 +673,7 @@ def test_write_survey_bytes_equal_per_row_writer(tmp_path, use_eth, poll):
     # respondent makes, labels that need quoting included
     labels = ["New York, NY", 'The "Big" One', "S03"]
     states = StateTable(labels, [0.0, 1.0, 2.0], [0.5] * 3, [1, 1, 2])
-    cells = make_cell_table(3, use_ethnicity=use_eth)
+    cells = make_cell_table(3, use_ethnicity=use_eth, states=states)
     rng = np.random.default_rng(6)
     n = rng.integers(0, 5, len(cells))
     k = rng.binomial(n, 0.5)
@@ -677,7 +689,7 @@ def test_write_survey_bytes_equal_per_row_writer(tmp_path, use_eth, poll):
         for v in [1] * k[c] + [0] * (n[c] - k[c]):
             w.writerow(key + [v])
     p = tmp_path / "survey.csv"
-    write_survey(Dataset(Survey(n, k), cells, states), p)
+    write_survey(Dataset(Survey(n, k), cells), p)
     assert p.read_bytes() == buf.getvalue().encode("utf-8")
 
 
@@ -741,9 +753,7 @@ def _sequential_load_survey(path, spec, states):
                 dropped += 1
                 continue
             label = row[c_state].strip()
-            if states is None:
-                s = parse_int(label, r, "state", 1, 10 ** 6)
-            elif label in states.label_index:
+            if label in states.label_index:
                 s = states.label_index[label]
             else:
                 raise DataError(f"{path}: row {r}: unknown state label "
@@ -758,7 +768,7 @@ def _sequential_load_survey(path, spec, states):
         raise DataError(f"{path}: cannot be read one record per line: a "
                         f"line break inside quotes")
     kept = np.array(kept, dtype=int).reshape(-1, 4)
-    S = states.n_states if states else int(kept[:, 0].max(initial=0))
+    S = states.n_states
     pos = cell_position(*kept[:, :3].T, spec.use_ethnicity)
     C = S * 5 * (4 if spec.use_ethnicity else 1)
     return (np.bincount(pos, minlength=C).tolist(),

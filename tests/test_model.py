@@ -18,13 +18,14 @@ from conftest import make_cell_table, make_state_table, survey_from_rows
 
 def _toy_model(S=3, rung="M1", prior=None, use_eth=False, seed=0, n=300):
     states = make_state_table(S, seed=seed)
-    cells = make_cell_table(S, use_ethnicity=use_eth, seed=seed)
+    cells = make_cell_table(S, use_ethnicity=use_eth, seed=seed,
+                            states=states)
     rng = np.random.default_rng(seed)
     sv = survey_from_rows(
         cells, rng.integers(1, S + 1, n), rng.integers(1, 6, n),
         rng.integers(1, 5, n) if use_eth else np.zeros(n, dtype=int),
         rng.integers(0, 2, n))
-    ds = Dataset(sv, cells, states)
+    ds = Dataset(sv, cells)
     spec = ModelSpec(rung, use_eth)
     return LogDensityModel(ds, spec, prior)
 
@@ -55,13 +56,13 @@ def test_log_posterior_matches_naive_oracle(rung, mode):
     # with the model
     S, n = 4, 200
     states = make_state_table(S, seed=2)
-    cells = make_cell_table(S, seed=2)
+    cells = make_cell_table(S, seed=2, states=states)
     r = np.random.default_rng(2)
     sid, inc, vote = (r.integers(1, S + 1, n), r.integers(1, 6, n),
                       r.integers(0, 2, n))
     sv = survey_from_rows(cells, sid, inc, np.zeros(n, dtype=int), vote)
     spec = ModelSpec(rung)
-    model = LogDensityModel(Dataset(sv, cells, states), spec,
+    model = LogDensityModel(Dataset(sv, cells), spec,
                             PriorConfig(mode, 5.0))
     lay = model.layout
     W = predictor_matrix(states, spec)
@@ -148,7 +149,7 @@ def test_gradient_symmetry():
     states.avg_income = np.zeros(S)
     states.prev_rep_share = np.full(S, 0.5)
     states.region_id = np.ones(S, dtype=int)
-    cells = make_cell_table(S, seed=0)
+    cells = make_cell_table(S, seed=0, states=states)
     cells.n_adults = np.full(len(cells), 1000.0)
     cells.turnout_rate = np.full(len(cells), 0.5)
     cells.n_voters = cells.n_adults * cells.turnout_rate
@@ -160,7 +161,7 @@ def test_gradient_symmetry():
             vote += [0, 1]
     sv = survey_from_rows(cells, sid, inc, np.zeros(len(sid), dtype=int),
                           vote)
-    model = LogDensityModel(Dataset(sv, cells, states), ModelSpec("M1"))
+    model = LogDensityModel(Dataset(sv, cells), ModelSpec("M1"))
     g = model.grad(np.zeros(model.n_params))
     ga = g[model.layout.sl("alpha")]
     assert np.allclose(ga, ga[0])

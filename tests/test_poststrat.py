@@ -62,7 +62,7 @@ def test_predict_cells_naive_oracle():
     states = make_state_table(50, n_regions=2, seed=1)
     spec = ModelSpec("M1", use_ethnicity=True)
     layout = build_layout(spec, states)
-    cells = make_cell_table(50, use_ethnicity=True, seed=1)
+    cells = make_cell_table(50, use_ethnicity=True, seed=1, states=states)
     rng = np.random.default_rng(10)
     mat = 0.3 * rng.standard_normal((200, layout.n_params))
     est = predict_cells(PosteriorDraws(mat, 1, layout), cells)
@@ -102,7 +102,8 @@ def test_predict_cells_refuses_draws_without_a_layout():
 # poststratify
 
 def test_poststratify_two_cell_identity():
-    cells = CellTable([1, 1], [1, 2], [0, 0], [1.0, 3.0], [1.0, 1.0])
+    cells = CellTable(make_state_table(2), [1, 1], [1, 2], [0, 0], [1.0, 3.0],
+                      [1.0, 1.0])
     est = _estimates(cells, [[-40.0, 40.0]])  # theta 0 and 1 to 1e-17
     agg = poststratify(est, ())
     assert abs(agg.theta[0, 0] - 0.75) < 1e-12
@@ -140,10 +141,10 @@ def test_poststratify_constant_theta_invariance():
 def test_poststratify_brute_force_oracle(dims):
     # groups whose cells are not contiguous, and a last, partial block
     states = make_state_table(6, n_regions=3, seed=7)
-    cells = make_cell_table(6, use_ethnicity=True, seed=7)
+    cells = make_cell_table(6, use_ethnicity=True, seed=7, states=states)
     D = poststrat.BLOCK + 7
     eta = np.random.default_rng(8).standard_normal((D, len(cells)))
-    agg = poststratify(_estimates(cells, eta), dims, states)
+    agg = poststratify(_estimates(cells, eta), dims)
     theta = expit(eta)
     label = {"state": cells.state_id, "income": cells.income_cat,
              "ethnicity": cells.ethnicity,
@@ -182,25 +183,21 @@ def test_poststratify_keys_sorted_int_tuples():
 
 
 def test_poststratify_region_grouping():
-    states = make_state_table(8, n_regions=4)
-    cells = make_cell_table(8)
+    cells = make_cell_table(8, states=make_state_table(8, n_regions=4))
     rng = np.random.default_rng(5)
     est = _estimates(cells, rng.standard_normal((2, len(cells))))
-    agg = poststratify(est, ("region",), states)
+    agg = poststratify(est, ("region",))
     assert agg.n_groups == 4
 
 
 def test_poststratify_zero_weight_group():
-    cells = CellTable([1, 1, 2, 2], [1, 2, 1, 2], [0] * 4,
-                      [10.0, 10.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5])
+    cells = CellTable(make_state_table(2), [1, 1, 2, 2], [1, 2, 1, 2],
+                      [0] * 4, [10.0, 10.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5])
     est = _estimates(cells, np.zeros((1, 4)))
-    with pytest.raises(ValueError, match="zero total voter weight"):
-        poststratify(est, ("state",))
-    # with the state table, the state is named by its label
-    states = make_state_table(2)
+    # the state is named by its label in the cells' state table
     with pytest.raises(ValueError, match=r"group \{'state': 'S02'\} has "
                                          "zero total voter weight"):
-        poststratify(est, ("state",), states)
+        poststratify(est, ("state",))
 
 
 def test_poststratify_unknown_dimension():
@@ -221,20 +218,18 @@ def test_calibrate_fixed_point():
     est = _estimates(cells, 0.3 * rng.standard_normal((4, len(cells))))
     by_state = poststratify(est, ("state",)).theta
     rec = by_state[0]  # draw 0's aggregates as the recorded totals
-    cal, deltas = calibrate_to_totals(CellEstimates(cells, est.eta[:1]), rec,
-                                      make_state_table(3))
+    cal, deltas = calibrate_to_totals(CellEstimates(cells, est.eta[:1]), rec)
     assert np.max(np.abs(deltas)) < 1e-8
     assert np.max(np.abs(cal.eta - est.eta[:1])) < 1e-8
 
 
 def test_calibrate_single_cell_closed_form():
-    cells = CellTable([1, 2, 2], [1, 1, 2], [0] * 3,
+    cells = CellTable(make_state_table(2), [1, 2, 2], [1, 1, 2], [0] * 3,
                       [100.0, 50.0, 50.0], [1.0, 1.0, 1.0])
     # pad to a 2-state full cross is unnecessary here: calibration only
     # needs per-state cell groups
     est = _estimates(cells, np.zeros((1, 3)))
-    cal, deltas = calibrate_to_totals(est, np.array([0.75, 0.5]),
-                                      make_state_table(2))
+    cal, deltas = calibrate_to_totals(est, np.array([0.75, 0.5]))
     assert abs(deltas[0, 0] - logit(0.75)) < 1e-10
     assert abs(deltas[0, 0] - 1.0986) < 1e-4
     assert abs(deltas[0, 1]) < 1e-10
@@ -243,12 +238,12 @@ def test_calibrate_single_cell_closed_form():
 def test_calibrate_matches_grid_oracle():
     # 5-cell state, random eta and N, recorded 0.6
     rng = np.random.default_rng(9)
-    cells = CellTable([1] * 5 + [2] * 5, list(range(1, 6)) * 2, [0] * 10,
+    cells = CellTable(make_state_table(2), [1] * 5 + [2] * 5,
+                      list(range(1, 6)) * 2, [0] * 10,
                       rng.uniform(100, 1000, 10), np.ones(10))
     eta = rng.standard_normal((3, 10))
     est = _estimates(cells, eta)
-    cal, deltas = calibrate_to_totals(est, np.array([0.6, 0.6]),
-                                      make_state_table(2))
+    cal, deltas = calibrate_to_totals(est, np.array([0.6, 0.6]))
     agg = poststratify(cal, ("state",))
     assert np.max(np.abs(agg.theta - 0.6)) < 1e-8
 
@@ -264,10 +259,10 @@ def test_calibrate_brackets_an_overshooting_newton_step():
     # a state of two cells at logits -30 and 30: its share is flat at 1/2
     # between them, so the first Newton step overshoots far past the root,
     # and the next point is the midpoint of the closed bracket
-    cells = CellTable([1, 1, 2], [1, 2, 1], [0] * 3, [1.0] * 3, [1.0] * 3)
+    cells = CellTable(make_state_table(2), [1, 1, 2], [1, 2, 1], [0] * 3,
+                      [1.0] * 3, [1.0] * 3)
     est = _estimates(cells, [[-30.0, 30.0, 0.0]])
-    cal, deltas = calibrate_to_totals(est, np.array([0.3, 0.5]),
-                                      make_state_table(2))
+    cal, deltas = calibrate_to_totals(est, np.array([0.3, 0.5]))
     assert abs(poststratify(cal, ("state",)).theta[0, 0] - 0.3) < 1e-10
     # the cell at -30 + delta adds below 1e-25: expit(30 + delta) = 0.6
     assert abs(deltas[0, 0] - (logit(0.6) - 30.0)) < 1e-10
@@ -278,9 +273,8 @@ def test_calibrate_idempotent():
     cells = make_cell_table(6, seed=11)
     est = _estimates(cells, rng.standard_normal((8, len(cells))))
     rec = rng.uniform(0.3, 0.7, 6)
-    states = make_state_table(6)
-    cal, _ = calibrate_to_totals(est, rec, states)
-    cal2, deltas2 = calibrate_to_totals(cal, rec, states)
+    cal, _ = calibrate_to_totals(est, rec)
+    cal2, deltas2 = calibrate_to_totals(cal, rec)
     assert np.max(np.abs(deltas2)) < 1e-10
 
 
@@ -288,18 +282,18 @@ def test_calibrate_rejects_degenerate_share():
     cells = make_cell_table(2)
     est = _estimates(cells, np.zeros((1, len(cells))))
     with pytest.raises(ValueError, match="state S01 is not strictly"):
-        calibrate_to_totals(est, np.array([1.0, 0.5]), make_state_table(2))
+        calibrate_to_totals(est, np.array([1.0, 0.5]))
 
 
 def test_calibrate_refuses_a_state_without_voters():
     # no cell of state 2 has a voter, so no shift of its cells matches a
     # share; the weights would be 0/0
-    cells = CellTable([1, 1, 2, 2], [1, 2, 1, 2], [0] * 4,
-                      [10.0, 10.0, 0.0, 0.0], [0.5] * 4)
+    cells = CellTable(make_state_table(2), [1, 1, 2, 2], [1, 2, 1, 2],
+                      [0] * 4, [10.0, 10.0, 0.0, 0.0], [0.5] * 4)
     est = _estimates(cells, np.zeros((2, 4)))
     with pytest.raises(ValueError, match="state S02 has zero total voter "
                                          "weight"):
-        calibrate_to_totals(est, np.array([0.4, 0.6]), make_state_table(2))
+        calibrate_to_totals(est, np.array([0.4, 0.6]))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +308,8 @@ def test_slopes_flat_cells():
 
 
 def test_slopes_linear_curve():
-    cells = CellTable([1] * 5 + [2] * 5, list(range(1, 6)) * 2, [0] * 10,
-                      np.ones(10), np.ones(10))
+    cells = CellTable(make_state_table(2), [1] * 5 + [2] * 5,
+                      list(range(1, 6)) * 2, [0] * 10, np.ones(10), np.ones(10))
     theta = np.array([0.3, 0.4, 0.5, 0.6, 0.7] * 2)
     est = _estimates(cells, logit(theta)[None, :])
     out = state_income_slopes(est)

@@ -90,8 +90,8 @@ def test_newton_beats_truth_on_synthetic(start):
     sc = Scenario(S=10, rung="M1", n=2000, seed=4)
     states = make_states(sc)
     cells = make_cells(sc, states)
-    truth = draw_truth(sc, states, cells)
-    ds = simulate_poll(truth, sc, states, cells)
+    truth = draw_truth(sc, cells)
+    ds = simulate_poll(truth, sc, cells)
     model = LogDensityModel(ds, sc.spec)
     init = model.initial_point() if start == "initial_point" \
         else np.zeros(model.n_params)
@@ -311,7 +311,7 @@ def test_load_rejects_layout_mismatch(tmp_path, small_dataset):
     draws = sample_mcmc(model, chains=2, warmup=50, iters=40, seed=0)
     bp, jp = tmp_path / "d.bin", tmp_path / "d.json"
     save_draws(draws, bp, jp)
-    other = build_layout(ModelSpec("M2"), small_dataset.states)
+    other = build_layout(ModelSpec("M2"), small_dataset.cells.states)
     with pytest.raises(ValueError):
         load_draws(bp, jp, other)
 

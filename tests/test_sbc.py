@@ -95,6 +95,17 @@ def test_uniformity_pvalues_refuses_ranks_out_of_range(bad):
         uniformity_pvalues(ranks, 19)
 
 
+def test_sbc_refuses_no_replications():
+    # no replication gives no ranks, whose empty histogram would give a
+    # NaN p-value for every parameter
+    with pytest.raises(ValueError, match="no ranks"):
+        uniformity_pvalues(np.zeros((0, 3), dtype=int))
+    sc = Scenario(S=4, rung="M1", n=200, seed=3,
+                  state_predictors=("avg_income",))
+    with pytest.raises(ValueError, match="reps 0"):
+        run_sbc(sc, reps=0)
+
+
 def test_run_sbc_refuses_fewer_iters_than_rank_draws():
     # 10 draws cannot be thinned to 19: the ranks would stop at 10 and a
     # correct sampler would read as non-uniform
@@ -123,18 +134,20 @@ def test_run_sbc_smoke():
 def test_run_sbc_calls_sample_mcmc_by_keyword(monkeypatch):
     # a benchmark wraps the module attribute as sample_mcmc(model, **kwargs)
     # to count each replication's gradients
-    calls = []
+    calls, models = [], []
     inner = mrpkit.sbc.sample_mcmc
 
     def sample_mcmc(model, **kwargs):
         calls.append(kwargs)
+        models.append(model)
         return inner(model, **kwargs)
 
     monkeypatch.setattr(mrpkit.sbc, "sample_mcmc", sample_mcmc)
     sc = Scenario(S=4, rung="M1", n=200, seed=3,
                   state_predictors=("avg_income",))
-    ranks, _ = run_sbc(sc, reps=1, warmup=20, iters=19, seed=5)
+    ranks, layout = run_sbc(sc, reps=1, warmup=20, iters=19, seed=5)
     assert len(calls) == 1 and ranks.shape[0] == 1
+    assert layout is models[0].layout  # the replications' own layout
     assert calls[0]["chains"] == 1 and calls[0]["init"] == "diffuse"
 
 
@@ -152,9 +165,9 @@ def test_sbc_poll_is_simulate_poll():
     sc = Scenario(S=5, rung="M3", n=700, seed=2, use_ethnicity=True)
     states = make_states(sc)
     cells = make_cells(sc, states)
-    truth = draw_truth(sc, states, cells)
-    a = _simulate_fixed_design(truth, sc, states, cells,
+    truth = draw_truth(sc, cells)
+    a = _simulate_fixed_design(truth, sc, cells,
                                np.random.default_rng(4)).survey
-    b = simulate_poll(truth, sc, states, cells, np.random.default_rng(4)).survey
+    b = simulate_poll(truth, sc, cells, np.random.default_rng(4)).survey
     assert np.array_equal(a.n, b.n) and np.array_equal(a.k, b.k)
     assert len(b) == 700

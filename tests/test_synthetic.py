@@ -24,7 +24,7 @@ def test_truth_degenerate_hierarchy():
                   gamma=(0.2, -0.1, 0.05))
     states = make_states(sc)
     layout = build_layout(sc.spec, states)
-    truth = draw_truth(sc, states, make_cells(sc, states))
+    truth = draw_truth(sc, make_cells(sc, states))
     W = predictor_matrix(states, sc.spec)
     alpha = truth[layout.sl("alpha")]
     assert np.allclose(alpha, W @ np.array(sc.gamma), atol=1e-12)
@@ -35,7 +35,7 @@ def test_truth_deterministic():
 
     def truth():  # the world's tables are made afresh for each draw
         states = make_states(sc)
-        return draw_truth(sc, states, make_cells(sc, states))
+        return draw_truth(sc, make_cells(sc, states))
     assert np.array_equal(truth(), truth())
 
 
@@ -44,7 +44,7 @@ def test_truth_residual_sd_matches_sigma_alpha():
     sc = Scenario(S=10000, rung="M1", seed=5, sigma_alpha=0.3)
     states = make_states(sc)
     layout = build_layout(sc.spec, states)
-    truth = draw_truth(sc, states, make_cells(sc, states))
+    truth = draw_truth(sc, make_cells(sc, states))
     W = predictor_matrix(states, sc.spec)
     resid = truth[layout.sl("alpha")] - W @ truth[layout.sl("gamma")]
     assert abs(resid.std(ddof=1) / 0.3 - 1.0) < 0.02
@@ -64,7 +64,7 @@ def test_truth_slopes_are_the_rho_zero_form(sc):
     rng = np.random.default_rng([sc.seed, 1])
     z1, z2 = rng.standard_normal(sc.S), rng.standard_normal(sc.S)
     rho = 0.0
-    truth = draw_truth(sc, states, make_cells(sc, states))
+    truth = draw_truth(sc, make_cells(sc, states))
     assert np.array_equal(truth[layout.sl("alpha")],
                           W @ gamma + sc.sigma_alpha * z1)
     assert np.array_equal(
@@ -78,7 +78,7 @@ def test_m3_truth_offsets_are_zero():
     sc = Scenario(S=6, rung="M3", seed=2, use_ethnicity=True)
     states = make_states(sc)
     layout = build_layout(sc.spec, states)
-    truth = draw_truth(sc, states, make_cells(sc, states))
+    truth = draw_truth(sc, make_cells(sc, states))
     assert np.array_equal(truth[layout.sl("cat")], np.zeros(5))
     assert truth[layout.sl("sigma_cat")][0] == np.log(0.1)
     assert truth[layout.sl("corr")][0] == 0.0
@@ -91,10 +91,10 @@ def test_simulate_poll_balanced_at_zero_truth():
     states = make_states(sc)
     layout = build_layout(sc.spec, states)
     cells = make_cells(sc, states)
-    truth = draw_truth(sc, states, cells)
+    truth = draw_truth(sc, cells)
     assert np.allclose(truth, 0.0) or \
         np.allclose(truth[layout.sl("alpha")], 0.0)
-    sv = simulate_poll(truth, sc, states, cells).survey
+    sv = simulate_poll(truth, sc, cells).survey
     assert abs(sv.k.sum() / sv.n.sum() - 0.5) < 0.005
 
 
@@ -102,9 +102,9 @@ def test_simulate_poll_cell_rates_converge():
     sc = Scenario(S=5, rung="M1", n=1000000, seed=8)
     states = make_states(sc)
     cells = make_cells(sc, states)
-    truth = draw_truth(sc, states, cells)
-    theta = true_cell_theta(truth, sc, states, cells)
-    sv = simulate_poll(truth, sc, states, cells).survey
+    truth = draw_truth(sc, cells)
+    theta = true_cell_theta(truth, sc, cells)
+    sv = simulate_poll(truth, sc, cells).survey
     emp = sv.k / np.maximum(sv.n, 1)
     assert np.max(np.abs(emp - theta)) < 0.01
 
@@ -115,22 +115,22 @@ def test_simulate_poll_counts_follow_adults():
     sc = Scenario(S=5, rung="M2", n=3000, seed=6, use_ethnicity=True)
     states = make_states(sc)
     cells = make_cells(sc, states)
-    truth = draw_truth(sc, states, cells)
-    sv = simulate_poll(truth, sc, states, cells,
+    truth = draw_truth(sc, cells)
+    sv = simulate_poll(truth, sc, cells,
                        np.random.default_rng(12)).survey
     rng = np.random.default_rng(12)
     want = rng.multinomial(3000, cells.n_adults / cells.n_adults.sum())
     assert np.array_equal(sv.n, want)
     assert np.array_equal(
-        sv.k, rng.binomial(want, true_cell_theta(truth, sc, states, cells)))
+        sv.k, rng.binomial(want, true_cell_theta(truth, sc, cells)))
 
 
 def test_simulate_poll_paper_scale_budget():
     sc = redblue_scenario(S=50, n=30000, seed=1)
     states = make_states(sc)
     cells = make_cells(sc, states)
-    truth = draw_truth(sc, states, cells)
-    ds = simulate_poll(truth, sc, states, cells)
+    truth = draw_truth(sc, cells)
+    ds = simulate_poll(truth, sc, cells)
     assert len(ds.survey) == 30000
     assert len(ds.cells) == 250
 
@@ -139,7 +139,7 @@ def test_redblue_slope_pattern():
     sc = redblue_scenario(S=50, n=30000, seed=0)
     states = make_states(sc)
     cells = make_cells(sc, states)
-    truth = draw_truth(sc, states, cells)
+    truth = draw_truth(sc, cells)
     layout = build_layout(sc.spec, states)
     eta = eta_cells(truth, layout, cells.state_id, cells.income_cat,
                     cells.ethnicity)
@@ -159,7 +159,7 @@ def test_redblue_national_gap_is_020():
     sc = redblue_scenario(seed=4)
     states = make_states(sc)
     cells = make_cells(sc, states)
-    truth = draw_truth(sc, states, cells)
+    truth = draw_truth(sc, cells)
     layout = build_layout(sc.spec, states)
     eta = eta_cells(truth, layout, cells.state_id, cells.income_cat,
                     cells.ethnicity)
@@ -195,9 +195,9 @@ def test_simulate_poll_default_rng_is_scenario_stream():
     sc = Scenario(S=5, rung="M1", n=600, seed=9)
     states = make_states(sc)
     cells = make_cells(sc, states)
-    truth = draw_truth(sc, states, cells)
-    a = simulate_poll(truth, sc, states, cells).survey
-    b = simulate_poll(truth, sc, states, cells,
+    truth = draw_truth(sc, cells)
+    a = simulate_poll(truth, sc, cells).survey
+    b = simulate_poll(truth, sc, cells,
                       np.random.default_rng([9, 2])).survey
     assert np.array_equal(a.n, b.n) and np.array_equal(a.k, b.k)
     assert len(a) == 600
