@@ -152,6 +152,22 @@ CATALOGUE = (
         "if False:",
         "uniformity_pvalues bins ranks outside 0..n_rank_draws without a "
         "word"),
+    Bug("dense-metric-variance-cap", "src/mrpkit/samplers.py",
+        "wc = np.clip(wc, METRIC_FLOOR * wc.max(), None)",
+        "wc = np.clip(wc, 1.0 / 100.0, None)",
+        "the dense metric clips every eigenvalue below 0.01, so M2's "
+        "beta[0] + slope ridge gets a variance of 100 where the posterior "
+        "has 650"),
+    Bug("warning-highest-ess", "src/mrpkit/samplers.py",
+        'j = int(np.argmin(np.nan_to_num(d["ess"], nan=-np.inf)))',
+        'j = int(np.argmax(np.nan_to_num(d["ess"], nan=-np.inf)))',
+        "the non-convergence warning names the parameter with the highest "
+        "ESS, not the lowest"),
+    Bug("uniform-prior-slopes", "src/mrpkit/cli.py",
+        'if cfg.prior_mode == "uniform" and cfg.spec.varying_slope:',
+        "if False:",
+        "mrp fit takes the uniform prior with M2 or M3, whose posterior is "
+        "flat along beta[0] + c, slope - c, slope_mu - c"),
     Bug("diffuse-metric-inverse", "src/mrpkit/samplers.py",
         "metric = _DiagMetric(np.clip(var, 1e-8, None))",
         "metric = _DiagMetric(1.0 / np.clip(var, 1e-8, None))",

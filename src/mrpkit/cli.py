@@ -147,6 +147,13 @@ def read_config(path) -> RunConfig:
             getattr(cfg, name)  # ModelSpec and PriorConfig check the values
         except ValueError as err:
             raise DataError(f"{path}: [{section}] {err}") from None
+    # the likelihood sees only beta[0] + slope, so without a prior on both
+    # the posterior is flat along their difference, and improper
+    if cfg.prior_mode == "uniform" and cfg.spec.varying_slope:
+        raise DataError(f"{path}: [prior] mode = uniform with [model] rung = "
+                        f"{cfg.rung}: the posterior is improper, flat along "
+                        f"beta[0] + c, slope - c, slope_mu - c; use "
+                        f"mode = weak")
     return cfg
 
 
@@ -241,6 +248,8 @@ def cmd_fit(cfg: RunConfig) -> int:
     }
     with _replacing(out("manifest.json")) as tmp:
         write_json(tmp, manifest)
+    for warning in diag.get("warnings", []):
+        print(f"warning: {warning}", file=sys.stderr)
     if not converged:
         print("warning: run stamped non-converged", file=sys.stderr)
         return EXIT_NONCONVERGED

@@ -81,24 +81,29 @@ def compute_diagnostics(draws) -> dict:
     return {"rhat": rhat, "ess": ess}
 
 
+def parameter_labels(layout, n_params) -> list[str]:
+    """One label per parameter, in order: its block's name, indexed from 1
+    in a block of more than one (``slope[3]``); ``params[k]`` without a
+    layout."""
+    blocks = (layout.block_dict() if layout is not None
+              else {"params": [0, n_params]})
+    return [name if length == 1 else f"{name}[{j + 1}]"
+            for name, (_, length) in blocks.items() for j in range(length)]
+
+
 def diagnostics_table(draws) -> str:
     """Human-readable per-parameter convergence table."""
     diag = draws.diagnostics or {}
     rhat = np.asarray(diag.get("rhat", []), dtype=float)
     ess = np.asarray(diag.get("ess", []), dtype=float)
-    blocks = (draws.layout.block_dict() if draws.layout is not None
-              else {"params": [0, draws.n_params]})
     lines = [f"{'parameter':<20s} {'mean':>10s} {'sd':>10s} "
              f"{'rhat':>8s} {'ess':>8s}"]
     mean = draws.draws.mean(axis=0)
     sd = draws.draws.std(axis=0, ddof=1)
-    for name, (off, length) in blocks.items():
-        for j in range(length):
-            k = off + j
-            label = name if length == 1 else f"{name}[{j + 1}]"
-            r = f"{rhat[k]:8.3f}" if k < len(rhat) and np.isfinite(rhat[k]) \
-                else f"{'n/a':>8s}"
-            e = f"{ess[k]:8.0f}" if k < len(ess) and np.isfinite(ess[k]) \
-                else f"{'n/a':>8s}"
-            lines.append(f"{label:<20s} {mean[k]:10.4f} {sd[k]:10.4f} {r} {e}")
+    for k, label in enumerate(parameter_labels(draws.layout, draws.n_params)):
+        r = f"{rhat[k]:8.3f}" if k < len(rhat) and np.isfinite(rhat[k]) \
+            else f"{'n/a':>8s}"
+        e = f"{ess[k]:8.0f}" if k < len(ess) and np.isfinite(ess[k]) \
+            else f"{'n/a':>8s}"
+        lines.append(f"{label:<20s} {mean[k]:10.4f} {sd[k]:10.4f} {r} {e}")
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mrpkit.diagnostics import compute_diagnostics
+from mrpkit.diagnostics import compute_diagnostics, parameter_labels
 
 FD_STEP = 1e-5  # relative finite-difference step of fd_hessian
 NEWTON_TOL = 1e-8  # damped_newton stops where every |gradient| is smaller
@@ -25,7 +25,12 @@ DIVERGENCE_ENERGY = 1000.0
 MAX_LEAPFROG_STEPS = 512
 INIT_JITTER = 0.1            # sd of the jitter around the chains' center
 DIVERGENCE_WARN_FRAC = 0.05  # divergent share of draws that warns
-MAX_METRIC_VARIANCE = 100.0  # cap on the dense metric's position variance
+# the dense metric's least eigenvalue, relative to its largest. fd_hessian's
+# rounding is about 1e-12 of the largest, so below the floor no curvature
+# is known; M2's beta[0] + slope ridge, which only the weak prior holds,
+# lies at 1.3e-7 of it on a 30k poll and 1.3e-8 on a 300k poll, so a
+# floor of sqrt(eps) = 1.5e-8 would clip that ridge
+METRIC_FLOOR = 1e-10
 # dual averaging (Hoffman & Gelman 2014): shrinkage, offset, averaging decay
 DA_GAMMA, DA_T0, DA_KAPPA = 0.05, 10.0, 0.75
 
@@ -148,16 +153,16 @@ class _DiagMetric:
 class _DenseMetric:
     """Dense kinetic energy from a symmetric curvature (precision) matrix.
 
-    Eigenvalues are clipped positive so an indefinite Hessian still yields a
-    usable metric; soft ridge directions get large position steps, which is
-    exactly what weakly identified coefficient sums need.
+    Each eigenvalue enters by its magnitude, so an indefinite Hessian still
+    yields a usable metric, and is kept down to METRIC_FLOOR of the largest:
+    a soft ridge direction gets the position variance the posterior gives
+    it, which is exactly what weakly identified coefficient sums need.
     """
 
     def __init__(self, precision):
         w, U = np.linalg.eigh(precision)
-        # indefinite or near-null directions: use magnitude, cap the implied
-        # position variance so soft directions stay explorable but bounded
-        wc = np.clip(np.abs(w), 1.0 / MAX_METRIC_VARIANCE, None)
+        wc = np.abs(w)
+        wc = np.clip(wc, METRIC_FLOOR * wc.max(), None)
         self._U = U
         self._w = wc
         self._sample_fac = U * np.sqrt(wc)
@@ -345,7 +350,14 @@ def sample_mcmc(model, chains=4, warmup=1000, iters=1000, seed=0,
                              and np.all(d["ess"] >= 100))
         diag["converged"] = converged
         if not converged:
-            diag["warnings"].append("R-hat > 1.1 or ESS < 100 on some parameter")
+            # name the worst of each; a NaN ESS (a chain that never moved)
+            # counts as the lowest
+            labels = parameter_labels(out.layout, P)
+            i = int(np.argmax(np.nan_to_num(d["rhat"], nan=1.0)))
+            j = int(np.argmin(np.nan_to_num(d["ess"], nan=-np.inf)))
+            diag["warnings"].append(
+                f"R-hat > 1.1 or ESS < 100: R-hat {d['rhat'][i]:.3f} at "
+                f"{labels[i]}, ESS {d['ess'][j]:.0f} at {labels[j]}")
     out.diagnostics = diag
     return out
 

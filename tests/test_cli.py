@@ -100,6 +100,24 @@ def test_fit_rerun_identical_checksum(fitted_run):
     assert _sha(outdir2 / "draws.bin") == first
 
 
+def test_nonconverged_fit_names_its_worst_parameters(fitted_run, tmp_path,
+                                                    capsys):
+    # 2 x 20 draws cannot reach ESS 100; stderr and diagnostics.json name
+    # the parameters by their labels in diagnostics.txt
+    _, _, datadir, _ = fitted_run
+    outdir = tmp_path / "run"
+    cfg = _fit_config(tmp_path, datadir, outdir, warmup=20, iters=20)
+    assert main(["fit", "--config", cfg]) == 3
+    warning = json.loads((outdir / "diagnostics.json").read_text())[
+        "warnings"][-1]
+    assert f"warning: {warning}\n" in capsys.readouterr().err
+    labels = {line.split()[0] for line in
+              (outdir / "diagnostics.txt").read_text().splitlines()[1:]}
+    rhat_at, ess_at = (part.rsplit(" at ", 1)[1]
+                       for part in warning.split(": ", 1)[1].split(", "))
+    assert {rhat_at, ess_at} <= labels
+
+
 def test_fit_corrupt_survey_no_partial_outputs(tmp_path):
     simcfg, datadir = _sim_config(tmp_path)
     assert main(["simulate", "--config", simcfg]) == 0
@@ -162,6 +180,24 @@ def test_fit_config_rejects_bad_values(fitted_run, tmp_path, capsys, key,
     err = capsys.readouterr().err
     assert os.path.basename(cfg) in err and key in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("rung", ["M2", "M3"])
+def test_fit_refuses_the_uniform_prior_with_varying_slopes(
+        fitted_run, tmp_path, capsys, rung):
+    # the likelihood sees beta[0] + slope alone, so with no prior on either
+    # the posterior is flat along their difference; M1 has no such ridge
+    _, _, datadir, _ = fitted_run
+    outdir = tmp_path / "run"
+    prior = "[prior]\nmode = uniform\n"
+    cfg = _fit_config(tmp_path, datadir, outdir, rung=rung, extra=prior)
+    assert main(["fit", "--config", cfg]) == 2
+    assert (f"{os.path.basename(cfg)}: [prior] mode = uniform with [model] "
+            f"rung = {rung}: the posterior is improper"
+            in capsys.readouterr().err)
+    assert not outdir.exists()
+    m1 = _fit_config(tmp_path, datadir, outdir, extra=prior)
+    assert cli.read_config(m1).prior_mode == "uniform"
 
 
 def test_simulate_config_rejects_unknown_key(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from mrpkit.design import ModelSpec, build_layout
 from mrpkit.diagnostics import (
     compute_diagnostics,
     diagnostics_table,
+    parameter_labels,
     split_ess,
     split_rhat,
 )
@@ -107,6 +109,17 @@ def test_summarize_and_table():
     table = diagnostics_table(draws)
     assert "rhat" in table
     assert "params[1]" in table
+
+
+def test_parameter_labels_follow_the_layout(small_dataset):
+    layout = build_layout(ModelSpec("M2"), small_dataset.cells.states)
+    labels = parameter_labels(layout, layout.n_params)
+    assert len(labels) == layout.n_params
+    for name in ("slope_mu", "slope_sigma", "corr", "sigma_alpha"):
+        assert labels[layout.sl(name).start] == name
+    s = layout.sl("slope")
+    assert labels[s] == [f"slope[{j + 1}]" for j in range(s.stop - s.start)]
+    assert parameter_labels(None, 2) == ["params[1]", "params[2]"]
 
 
 def test_table_handles_nan_rhat():

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import logit
 
-from mrpkit.design import ModelSpec, build_layout
+from mrpkit.design import ModelSpec, ParameterLayout, build_layout
 from mrpkit.model import LogDensityModel, PriorConfig
 from mrpkit.samplers import (
+    METRIC_FLOOR,
     PosteriorDraws,
     _cholesky_solve,
+    _DenseMetric,
     _DiagMetric,
     _find_reasonable_eps,
     damped_newton,
@@ -138,6 +140,50 @@ def test_mcmc_matches_gaussian_target_moments():
 
 
 # ---------------------------------------------------------------------------
+# the dense metric
+
+def _rotation(n, seed):
+    """A random n x n orthogonal matrix."""
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (n, n)))[0]
+
+
+def test_dense_metric_is_the_precision_on_a_soft_direction():
+    # 1.538e-3 is M2's beta[0] + slope ridge under the weak prior at S = 50;
+    # the metric keeps both eigenvalues as they are, not clipped to 0.01
+    U = _rotation(2, 0)
+    A = U @ np.diag([1.538e-3, 1e-5]) @ U.T
+    metric = _DenseMetric(A)
+    for p in np.random.default_rng(1).standard_normal((5, 2)):
+        v = np.linalg.solve(A, p)
+        np.testing.assert_allclose(metric.velocity(p), v, rtol=1e-12)
+        assert metric.kinetic(p) == pytest.approx(0.5 * p @ v, rel=1e-12)
+
+
+def test_dense_metric_takes_the_magnitude_of_a_negative_eigenvalue():
+    # the Hessian at the red/blue world's center has an eigenvalue -4.25
+    w, U = np.array([-4.25, 2.0]), _rotation(2, 2)
+    metric = _DenseMetric(U @ np.diag(w) @ U.T)
+    p = np.array([0.3, -1.7])
+    np.testing.assert_allclose(metric.velocity(p),
+                               U @ ((U.T @ p) / np.abs(w)), rtol=1e-12)
+    assert metric.kinetic(p) > 0
+
+
+def test_dense_metric_floors_a_null_direction():
+    # eigenvalues 0 and 2: the null direction takes METRIC_FLOOR of the
+    # largest, so every quantity stays finite
+    A = np.ones((2, 2))
+    metric = _DenseMetric(A)
+    p = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    v = metric.velocity(p)
+    assert np.all(np.isfinite(v))
+    np.testing.assert_allclose(v, p / (2.0 * METRIC_FLOOR), rtol=1e-5)
+    assert np.isfinite(metric.kinetic(p))
+    assert np.all(np.isfinite(metric.sample(np.random.default_rng(0))))
+
+
+# ---------------------------------------------------------------------------
 # sample_mcmc
 
 def test_mcmc_standard_normal_target():
@@ -156,6 +202,25 @@ def test_mcmc_diagnostics_attached():
     assert np.all(np.asarray(d["rhat"]) < 1.1)
     assert d["divergent"] == 0
     assert "converged" in d
+
+
+@pytest.mark.parametrize("layout,label", [
+    (None, "params[2]"),
+    (ParameterLayout((("beta", 1), ("sigma_cat", 1)), 2, ModelSpec()),
+     "sigma_cat"),
+])
+def test_mcmc_warning_names_the_worst_parameters(layout, label):
+    # sds 1 and 100 under the unit metric, with no warmup to adapt it: the
+    # wide coordinate barely moves, and the warning names it by its label
+    model = _GaussianStub(np.zeros(2), np.diag([1.0, 1e-4]))
+    model.layout = layout
+    d = sample_mcmc(model, chains=2, warmup=0, iters=100, seed=0,
+                    init="diffuse").diagnostics
+    assert not d["converged"]
+    assert np.argmin(d["ess"]) == np.argmax(d["rhat"]) == 1
+    assert d["warnings"][-1] == (
+        f"R-hat > 1.1 or ESS < 100: R-hat {d['rhat'][1]:.3f} at {label}, "
+        f"ESS {d['ess'][1]:.0f} at {label}")
 
 
 def test_mcmc_deterministic_given_seed():
